@@ -82,10 +82,9 @@ fn print_report(report: &hsbp_bench::hotpath::HotpathReport) {
         );
         for v in &g.variants {
             println!(
-                "  {:<7} {:<5} t={:<2} {:>9.2} sweeps/s  {:>12.0} proposals/s  accept {:.3}  \
+                "  {:<7} t={:<2} {:>9.2} sweeps/s  {:>12.0} proposals/s  accept {:.3}  \
                  eff {:.2}  steals {}  imbalance {:.2}",
                 v.variant,
-                v.math_mode,
                 v.threads,
                 v.sweeps_per_s,
                 v.proposals_per_s,
@@ -124,10 +123,7 @@ fn run() -> Result<(), String> {
             }
             for line in lines {
                 match best.iter_mut().find(|b| {
-                    b.graph == line.graph
-                        && b.variant == line.variant
-                        && b.math_mode == line.math_mode
-                        && b.threads == line.threads
+                    b.graph == line.graph && b.variant == line.variant && b.threads == line.threads
                 }) {
                     Some(b) if line.ratio > b.ratio => *b = line,
                     Some(_) => {}
@@ -147,11 +143,10 @@ fn run() -> Result<(), String> {
         let mut regressed = false;
         for line in &best {
             println!(
-                "check {}/{:<7} {:<5} t={:<2} normalised ratio {:.3} \
+                "check {}/{:<7} t={:<2} normalised ratio {:.3} \
                  (baseline {:.3e}, current {:.3e}){}",
                 line.graph,
                 line.variant,
-                line.math_mode,
                 line.threads,
                 line.ratio,
                 line.baseline_norm,

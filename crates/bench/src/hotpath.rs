@@ -19,16 +19,16 @@
 
 use hsbp_blockmodel::Blockmodel;
 use hsbp_collections::SplitMix64;
-use hsbp_core::{run_mcmc_phase, MathMode, RunStats, SbpConfig, Variant};
+use hsbp_core::{run_mcmc_phase, RunStats, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
 use std::time::Instant;
 
 /// Schema version of `BENCH_mcmc.json`. Bumped on any incompatible change
 /// to the report shape; reported by `hsbp version` so replay tooling can
-/// detect mismatched baselines. Schema 3 added the per-measurement
-/// `math_mode` field; check mode reads schema-2 baselines by treating every
-/// baseline line as `exact` (see [`compare_reports`]).
-pub const BENCH_MCMC_SCHEMA_VERSION: u32 = 3;
+/// detect mismatched baselines. Schema 4 dropped schema 3's
+/// per-measurement field naming the delta-MDL math path, which now has one
+/// path only.
+pub const BENCH_MCMC_SCHEMA_VERSION: u32 = 4;
 
 /// One benchmark graph + sweep protocol.
 #[derive(Debug, Clone, Copy)]
@@ -109,29 +109,11 @@ pub fn threads_for_mode(mode: &str) -> Vec<usize> {
     }
 }
 
-/// Math modes a report sweeps. `full` (the committed baseline) measures
-/// both so check mode always has a same-mode line to compare against; the
-/// seconds-scale smoke/check modes measure only the active mode — the
-/// `HSBP_MATH` env var, which is how CI's math-mode matrix legs pin a leg
-/// to one mode. Pinning `HSBP_MATH` narrows `full` too.
-pub fn math_modes_for_mode(mode: &str) -> Vec<MathMode> {
-    if std::env::var(hsbp_core::HSBP_MATH_ENV).is_ok() {
-        return vec![MathMode::from_env()];
-    }
-    match mode {
-        "full" => vec![MathMode::Exact, MathMode::Table],
-        _ => vec![MathMode::from_env()],
-    }
-}
-
 /// Measured throughput of one variant on one graph at one thread count.
 #[derive(Debug, Clone)]
 pub struct VariantMeasurement {
     /// Paper-style variant name (`SBP`, `A-SBP`, `H-SBP`, `EA-SBP`).
     pub variant: String,
-    /// Delta-MDL math mode of the measured sweeps (`exact` or `table`;
-    /// results are bit-identical, only the cost differs).
-    pub math_mode: String,
     /// Worker threads the parallel sections ran with (`SbpConfig::threads`).
     /// The serial SBP variant is only measured at 1.
     pub threads: usize,
@@ -214,12 +196,11 @@ pub fn calibration_ops_per_s() -> f64 {
     best
 }
 
-fn bench_config(variant: Variant, threads: usize, math_mode: MathMode) -> SbpConfig {
+fn bench_config(variant: Variant, threads: usize) -> SbpConfig {
     SbpConfig {
         variant,
         seed: 7,
         threads,
-        math_mode,
         mcmc_threshold: 0.0, // never converge early: fixed sweep counts
         audit_cadence: 0,    // audits are not part of the hot path
         ..Default::default()
@@ -234,11 +215,10 @@ fn timed_sweeps(
     variant: Variant,
     sweeps: usize,
     threads: usize,
-    math_mode: MathMode,
 ) -> (f64, RunStats) {
     let cfg = SbpConfig {
         max_sweeps: sweeps,
-        ..bench_config(variant, threads, math_mode)
+        ..bench_config(variant, threads)
     };
     let mut bm = settled.clone();
     let mut stats = RunStats::new(&cfg);
@@ -248,13 +228,8 @@ fn timed_sweeps(
     (elapsed, stats)
 }
 
-/// Measure every variant on one spec'd graph, sweeping `threads` and
-/// `math_modes`.
-pub fn measure_graph(
-    spec: &HotpathSpec,
-    threads: &[usize],
-    math_modes: &[MathMode],
-) -> GraphMeasurement {
+/// Measure every variant on one spec'd graph, sweeping `threads`.
+pub fn measure_graph(spec: &HotpathSpec, threads: &[usize]) -> GraphMeasurement {
     let generated = generate(DcsbmConfig {
         num_vertices: spec.vertices,
         num_communities: spec.communities,
@@ -263,19 +238,20 @@ pub fn measure_graph(
         ..Default::default()
     });
     let graph = &generated.graph;
+    // Build the process-wide ln table outside the timed windows.
+    std::hint::black_box(hsbp_blockmodel::fastmath::table());
     let mut variants = Vec::new();
     for variant in VARIANTS {
         // Settle the chain from the planted truth so the timed sweeps see
         // the steady-state (low-acceptance) regime that dominates long runs.
         // One settle per variant: sweeps are bit-identical across thread
-        // counts *and* math modes, so every measurement starts from the
-        // same state.
+        // counts, so every measurement starts from the same state.
         let mut settled =
             Blockmodel::from_assignment(graph, generated.ground_truth.clone(), spec.communities);
         if spec.warmup_sweeps > 0 {
             let cfg = SbpConfig {
                 max_sweeps: spec.warmup_sweeps,
-                ..bench_config(variant, 1, MathMode::Exact)
+                ..bench_config(variant, 1)
             };
             let mut stats = RunStats::new(&cfg);
             run_mcmc_phase(graph, &mut settled, &cfg, 0, &mut stats);
@@ -286,62 +262,54 @@ pub fn measure_graph(
         } else {
             threads
         };
-        for &math_mode in math_modes {
-            if math_mode == MathMode::Table {
-                // Force the one-time process-wide table build outside the
-                // timed windows.
-                std::hint::black_box(hsbp_blockmodel::fastmath::table_cap());
-            }
-            // Parallel efficiency is anchored on the same (variant, mode)
-            // 1-thread run, always measured first.
-            let mut one_thread_tp: Option<f64> = None;
-            for &t in thread_points {
-                let pool = hsbp_parallel::pool_for(t);
-                pool.reset_stats();
-                let mut best: Option<(f64, RunStats)> = None;
-                for _ in 0..spec.repeats.max(1) {
-                    let run = timed_sweeps(graph, &settled, variant, spec.sweeps, t, math_mode);
-                    if best.as_ref().is_none_or(|b| run.0 < b.0) {
-                        best = Some(run);
-                    }
+        // Parallel efficiency is anchored on the same-variant 1-thread
+        // run, always measured first.
+        let mut one_thread_tp: Option<f64> = None;
+        for &t in thread_points {
+            let pool = hsbp_parallel::pool_for(t);
+            pool.reset_stats();
+            let mut best: Option<(f64, RunStats)> = None;
+            for _ in 0..spec.repeats.max(1) {
+                let run = timed_sweeps(graph, &settled, variant, spec.sweeps, t);
+                if best.as_ref().is_none_or(|b| run.0 < b.0) {
+                    best = Some(run);
                 }
-                let pool_stats = pool.stats();
-                let Some((elapsed, stats)) = best else {
-                    continue;
-                };
-                let elapsed = elapsed.max(1e-9);
-                let sweeps_per_s = spec.sweeps as f64 / elapsed;
-                if t == 1 {
-                    one_thread_tp = Some(sweeps_per_s);
-                }
-                let parallel_efficiency = match one_thread_tp {
-                    Some(base) if base > 0.0 => (sweeps_per_s / base) / t as f64,
-                    _ => 0.0,
-                };
-                let (proposals, accepted) = (stats.proposals, stats.accepted);
-                variants.push(VariantMeasurement {
-                    variant: variant.name().to_string(),
-                    math_mode: math_mode.name().to_string(),
-                    threads: t,
-                    sweeps: spec.sweeps,
-                    elapsed_s: elapsed,
-                    sweeps_per_s,
-                    proposals_per_s: proposals as f64 / elapsed,
-                    acceptance_rate: if proposals == 0 {
-                        0.0
-                    } else {
-                        accepted as f64 / proposals as f64
-                    },
-                    consolidations_incremental: stats.consolidations_incremental as u64,
-                    consolidations_rebuild: stats.consolidations_rebuild as u64,
-                    consolidated_moves: stats.consolidated_moves,
-                    parallel_efficiency,
-                    pool_sections: pool_stats.sections,
-                    pool_steals: pool_stats.steals,
-                    pool_max_imbalance: pool_stats.max_imbalance,
-                    pool_mean_imbalance: pool_stats.mean_imbalance,
-                });
             }
+            let pool_stats = pool.stats();
+            let Some((elapsed, stats)) = best else {
+                continue;
+            };
+            let elapsed = elapsed.max(1e-9);
+            let sweeps_per_s = spec.sweeps as f64 / elapsed;
+            if t == 1 {
+                one_thread_tp = Some(sweeps_per_s);
+            }
+            let parallel_efficiency = match one_thread_tp {
+                Some(base) if base > 0.0 => (sweeps_per_s / base) / t as f64,
+                _ => 0.0,
+            };
+            let (proposals, accepted) = (stats.proposals, stats.accepted);
+            variants.push(VariantMeasurement {
+                variant: variant.name().to_string(),
+                threads: t,
+                sweeps: spec.sweeps,
+                elapsed_s: elapsed,
+                sweeps_per_s,
+                proposals_per_s: proposals as f64 / elapsed,
+                acceptance_rate: if proposals == 0 {
+                    0.0
+                } else {
+                    accepted as f64 / proposals as f64
+                },
+                consolidations_incremental: stats.consolidations_incremental as u64,
+                consolidations_rebuild: stats.consolidations_rebuild as u64,
+                consolidated_moves: stats.consolidated_moves,
+                parallel_efficiency,
+                pool_sections: pool_stats.sections,
+                pool_steals: pool_stats.steals,
+                pool_max_imbalance: pool_stats.max_imbalance,
+                pool_mean_imbalance: pool_stats.mean_imbalance,
+            });
         }
     }
     GraphMeasurement {
@@ -355,7 +323,6 @@ pub fn measure_graph(
 /// Run the given specs and assemble a report.
 pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
     let threads = threads_for_mode(mode);
-    let math_modes = math_modes_for_mode(mode);
     HotpathReport {
         mode: mode.to_string(),
         calibration_ops_per_s: calibration_ops_per_s(),
@@ -363,10 +330,7 @@ pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
         hsbp_threads_env: std::env::var("HSBP_THREADS")
             .ok()
             .and_then(|raw| raw.trim().parse::<usize>().ok()),
-        graphs: specs
-            .iter()
-            .map(|s| measure_graph(s, &threads, &math_modes))
-            .collect(),
+        graphs: specs.iter().map(|s| measure_graph(s, &threads)).collect(),
         threads_swept: threads,
     }
 }
@@ -438,10 +402,6 @@ impl HotpathReport {
                 s.push_str(&format!(
                     "          \"variant\": \"{}\",\n",
                     json_escape(&v.variant)
-                ));
-                s.push_str(&format!(
-                    "          \"math_mode\": \"{}\",\n",
-                    json_escape(&v.math_mode)
                 ));
                 s.push_str(&format!("          \"threads\": {},\n", v.threads));
                 s.push_str(&format!("          \"sweeps\": {},\n", v.sweeps));
@@ -763,9 +723,6 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 pub struct CheckLine {
     pub graph: String,
     pub variant: String,
-    /// Math mode of the *current* measurement (the baseline line it matched
-    /// may be an `exact` fallback from a schema-2 baseline).
-    pub math_mode: String,
     /// Thread count of the compared measurement.
     pub threads: usize,
     /// Calibration-normalised throughput in the baseline file.
@@ -777,23 +734,23 @@ pub struct CheckLine {
     pub regressed: bool,
 }
 
-/// Compare `current` against a parsed `baseline` document. Measurements are
-/// matched on `(graph, variant, threads, math_mode)`; a schema-1 baseline
-/// (no `threads` field) is treated as all-1-thread, so only the current
-/// run's 1-thread lines compare against it, and a schema-2 baseline (no
-/// `math_mode` field) is treated as all-`exact` — a current `table` line
-/// with no same-mode baseline falls back to the `exact` baseline line
-/// (Table must be at least as fast, so comparing it against the exact
-/// baseline is conservative). Graphs or thread points present in only one
-/// of the two reports are skipped (the baseline may carry the full protocol
-/// while CI runs smoke). Returns every comparison made; an empty result
-/// means the baseline had no overlapping graphs, which the caller should
-/// treat as an error.
+/// Compare `current` against a parsed `baseline` document of the current
+/// schema. Measurements are matched on `(graph, variant, threads)`. Graphs
+/// or thread points present in only one of the two reports are skipped (the
+/// baseline may carry the full protocol while CI runs smoke). Returns every
+/// comparison made; an empty result means the baseline had no overlapping
+/// graphs, which the caller should treat as an error.
 pub fn compare_reports(
     current: &HotpathReport,
     baseline: &Json,
     threshold: f64,
 ) -> Result<Vec<CheckLine>, String> {
+    let schema = baseline.get("schema_version").and_then(Json::as_f64);
+    if schema != Some(f64::from(BENCH_MCMC_SCHEMA_VERSION)) {
+        return Err(format!(
+            "baseline schema_version {schema:?} is not {BENCH_MCMC_SCHEMA_VERSION}; re-record it"
+        ));
+    }
     let base_calib = baseline
         .get("calibration_ops_per_s")
         .and_then(Json::as_f64)
@@ -818,31 +775,11 @@ pub fn compare_reports(
             .and_then(Json::as_arr)
             .ok_or_else(|| format!("baseline graph {} missing variants", g.name))?;
         for v in &g.variants {
-            let find = |math_mode: &str| {
-                base_variants.iter().find(|bv| {
-                    bv.get("variant").and_then(Json::as_str) == Some(v.variant.as_str())
-                        && bv
-                            .get("threads")
-                            .and_then(Json::as_f64)
-                            .map_or(1, |t| t as usize)
-                            == v.threads
-                        && bv
-                            .get("math_mode")
-                            .and_then(Json::as_str)
-                            .unwrap_or("exact")
-                            == math_mode
-                })
-            };
-            let same_mode = find(&v.math_mode);
-            let base_v = match same_mode {
-                Some(bv) => bv,
-                // Schema-2 fallback: a table-mode current line compares
-                // against the exact baseline line.
-                None if v.math_mode != "exact" => match find("exact") {
-                    Some(bv) => bv,
-                    None => continue,
-                },
-                None => continue,
+            let Some(base_v) = base_variants.iter().find(|bv| {
+                bv.get("variant").and_then(Json::as_str) == Some(v.variant.as_str())
+                    && bv.get("threads").and_then(Json::as_f64) == Some(v.threads as f64)
+            }) else {
+                continue;
             };
             let base_tp = base_v
                 .get("sweeps_per_s")
@@ -858,7 +795,6 @@ pub fn compare_reports(
             lines.push(CheckLine {
                 graph: g.name.clone(),
                 variant: v.variant.clone(),
-                math_mode: v.math_mode.clone(),
                 threads: v.threads,
                 baseline_norm,
                 current_norm,
@@ -889,7 +825,6 @@ mod tests {
                 edges: 20,
                 variants: vec![VariantMeasurement {
                     variant: "SBP".into(),
-                    math_mode: "table".into(),
                     threads: 4,
                     sweeps: 4,
                     elapsed_s: 0.25,
@@ -911,7 +846,7 @@ mod tests {
         assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("smoke"));
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_f64),
-            Some(3.0)
+            Some(4.0)
         );
         assert_eq!(
             parsed.get("host_parallelism").and_then(Json::as_f64),
@@ -927,7 +862,6 @@ mod tests {
         let g = &parsed.get("graphs").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(g.get("vertices").and_then(Json::as_f64), Some(10.0));
         let v = &g.get("variants").and_then(Json::as_arr).unwrap()[0];
-        assert_eq!(v.get("math_mode").and_then(Json::as_str), Some("table"));
         assert_eq!(v.get("threads").and_then(Json::as_f64), Some(4.0));
         assert_eq!(v.get("sweeps_per_s").and_then(Json::as_f64), Some(16.0));
         assert_eq!(
@@ -983,18 +917,8 @@ mod tests {
     }
 
     fn measurement(variant: &str, threads: usize, tp: f64) -> VariantMeasurement {
-        measurement_mode(variant, "exact", threads, tp)
-    }
-
-    fn measurement_mode(
-        variant: &str,
-        math_mode: &str,
-        threads: usize,
-        tp: f64,
-    ) -> VariantMeasurement {
         VariantMeasurement {
             variant: variant.into(),
-            math_mode: math_mode.into(),
             threads,
             sweeps: 1,
             elapsed_s: 1.0 / tp,
@@ -1083,106 +1007,13 @@ mod tests {
     }
 
     #[test]
-    fn check_treats_v1_baseline_as_one_thread() {
-        // A schema-1 baseline has no "threads" field: only the current
-        // report's 1-thread lines compare; other thread points are skipped.
-        let v1 = r#"{
-            "schema_version": 1,
-            "mode": "smoke",
-            "calibration_ops_per_s": 1e8,
-            "graphs": [{
-                "name": "g", "vertices": 1, "edges": 1,
-                "variants": [{"variant": "A-SBP", "sweeps": 1,
-                              "sweeps_per_s": 100.0}]
-            }]
-        }"#;
-        let base_json = parse_json(v1).unwrap();
-        let mut current = one_line_report("g", "A-SBP", 50.0, 1e8);
-        current.graphs[0]
-            .variants
-            .push(measurement("A-SBP", 4, 400.0));
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].threads, 1);
-        assert!(lines[0].regressed);
-    }
-
-    #[test]
-    fn check_matches_on_math_mode() {
-        // Baseline carries both modes at different speeds; each current
-        // line must compare against its own mode, not the other's.
-        let mut baseline = one_line_report("g", "A-SBP", 100.0, 1e8);
-        baseline.graphs[0]
-            .variants
-            .push(measurement_mode("A-SBP", "table", 1, 200.0));
-        let base_json = parse_json(&baseline.to_json()).unwrap();
-
-        let mut current = one_line_report("g", "A-SBP", 100.0, 1e8);
-        current.graphs[0]
-            .variants
-            .push(measurement_mode("A-SBP", "table", 1, 190.0));
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 2);
-        let at = |m: &str| lines.iter().find(|l| l.math_mode == m).unwrap();
-        assert!((at("exact").ratio - 1.0).abs() < 1e-9);
-        assert!((at("table").ratio - 190.0 / 200.0).abs() < 1e-9);
-        assert!(!at("table").regressed);
-    }
-
-    #[test]
-    fn check_falls_back_to_exact_baseline_for_table_lines() {
-        // A schema-2 baseline has no math_mode field: its lines read as
-        // `exact`, and a current table line compares against the exact
-        // baseline (conservative: table must be at least as fast).
-        let v2 = r#"{
-            "schema_version": 2,
-            "mode": "smoke",
-            "calibration_ops_per_s": 1e8,
-            "graphs": [{
-                "name": "g", "vertices": 1, "edges": 1,
-                "variants": [{"variant": "A-SBP", "threads": 1, "sweeps": 1,
-                              "sweeps_per_s": 100.0}]
-            }]
-        }"#;
-        let base_json = parse_json(v2).unwrap();
-        let mut current = HotpathReport {
-            mode: "smoke".into(),
-            calibration_ops_per_s: 1e8,
-            host_parallelism: 1,
-            hsbp_threads_env: None,
-            threads_swept: vec![1],
-            graphs: vec![GraphMeasurement {
-                name: "g".into(),
-                vertices: 1,
-                edges: 1,
-                variants: vec![measurement_mode("A-SBP", "table", 1, 150.0)],
-            }],
-        };
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].math_mode, "table");
-        assert!((lines[0].ratio - 1.5).abs() < 1e-9);
-        assert!(!lines[0].regressed);
-
-        // ...and a slow table line still regresses against that fallback.
-        current.graphs[0].variants[0] = measurement_mode("A-SBP", "table", 1, 50.0);
-        let lines = compare_reports(&current, &base_json, 0.15).unwrap();
-        assert!(lines[0].regressed);
-    }
-
-    #[test]
-    fn math_mode_sweep_covers_modes() {
-        // Not under HSBP_MATH here: the suite may run with it set, in which
-        // case every mode is pinned to the env's single mode.
-        let full = math_modes_for_mode("full");
-        let smoke = math_modes_for_mode("smoke");
-        if std::env::var(hsbp_core::HSBP_MATH_ENV).is_ok() {
-            assert_eq!(full.len(), 1);
-            assert_eq!(smoke, full);
-        } else {
-            assert_eq!(full, vec![MathMode::Exact, MathMode::Table]);
-            assert_eq!(smoke, vec![MathMode::Exact]);
-        }
+    fn check_rejects_other_schema_versions() {
+        let report = one_line_report("g", "SBP", 100.0, 1e8);
+        let old = report.to_json().replace(
+            &format!("\"schema_version\": {BENCH_MCMC_SCHEMA_VERSION}"),
+            "\"schema_version\": 3",
+        );
+        assert!(compare_reports(&report, &parse_json(&old).unwrap(), 0.15).is_err());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! the paper's normalized MDL is `MDL / MDL_null` and is comparable across
 //! graphs.
 
-use crate::fastmath::{ExactKernel, MathMode, MdlKernel, TableKernel};
 use crate::model::Blockmodel;
 
 /// `h(x) = (1+x)ln(1+x) − x·ln x`, the binary-entropy-like term of Eq. 2.
@@ -23,7 +22,8 @@ pub fn dcsbm_entropy_term(x: f64) -> f64 {
 }
 
 /// One cell's contribution to `L(G|B)`: `b·ln(b/(d_out·d_in))`, 0 when the
-/// cell is empty.
+/// cell is empty. The libm reference for the table-served delta kernel
+/// [`crate::fastmath::ll_term`].
 #[inline]
 pub fn log_likelihood_term(b: f64, d_out: f64, d_in: f64) -> f64 {
     if b <= 0.0 {
@@ -34,28 +34,6 @@ pub fn log_likelihood_term(b: f64, d_out: f64, d_in: f64) -> f64 {
             "non-empty cell with zero block degree"
         );
         b * (b.ln() - d_out.ln() - d_in.ln())
-    }
-}
-
-/// [`dcsbm_entropy_term`] computed under a [`MathMode`]: `Exact` is the
-/// function above, `Table` serves integer arguments from the precomputed
-/// `x·ln x` table (bit-identical there, exact fallback otherwise).
-#[inline]
-pub fn dcsbm_entropy_term_mode(x: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => ExactKernel::entropy_term(x),
-        MathMode::Table => TableKernel::entropy_term(x),
-    }
-}
-
-/// [`log_likelihood_term`] computed under a [`MathMode`]: `Exact` is the
-/// function above, `Table` serves integer counts/degrees from the
-/// precomputed `ln` table (bit-identical there, exact fallback otherwise).
-#[inline]
-pub fn log_likelihood_term_mode(b: f64, d_out: f64, d_in: f64, mode: MathMode) -> f64 {
-    match mode {
-        MathMode::Exact => ExactKernel::ll_term(b, d_out, d_in),
-        MathMode::Table => TableKernel::ll_term(b, d_out, d_in),
     }
 }
 
@@ -158,20 +136,35 @@ mod tests {
     }
 
     #[test]
-    fn mode_variants_agree_on_hot_path_arguments() {
-        for mode in [MathMode::Exact, MathMode::Table] {
-            assert_eq!(
-                log_likelihood_term_mode(4.0, 12.0, 9.0, mode).to_bits(),
-                log_likelihood_term(4.0, 12.0, 9.0).to_bits()
-            );
-            assert_eq!(log_likelihood_term_mode(0.0, 5.0, 5.0, mode), 0.0);
-            assert_eq!(
-                dcsbm_entropy_term_mode(3.0, mode).to_bits(),
-                dcsbm_entropy_term(3.0).to_bits()
-            );
-            // Fractional argument (the C²/E shape) stays within 1e-12.
-            let x = 0.734_218;
-            assert!((dcsbm_entropy_term_mode(x, mode) - dcsbm_entropy_term(x)).abs() < 1e-12);
+    fn table_kernel_reproduces_log_likelihood_bitwise() {
+        // Summing the table kernel over every cell must give the libm
+        // reference's bits, with cell counts and degrees on both sides of
+        // the table cap (weighted edges push them past it).
+        use crate::fastmath::{ll_term, TABLE_CAP};
+        let heavy = TABLE_CAP as u64 + 3;
+        let mut b = hsbp_graph::GraphBuilder::new(6);
+        for (u, v, w) in [
+            (0, 1, 1),
+            (1, 2, 2),
+            (2, 0, heavy),
+            (3, 4, 5),
+            (4, 5, heavy),
+            (5, 3, 1),
+            (2, 3, 1),
+        ] {
+            b.add_edge_weighted(u, v, w);
+        }
+        let g = b.build();
+        for assignment in [vec![0, 0, 0, 1, 1, 1], vec![0, 1, 2, 0, 1, 2], vec![0; 6]] {
+            let k = *assignment.iter().max().unwrap_or(&0) as usize + 1;
+            let bm = Blockmodel::from_assignment(&g, assignment, k);
+            let mut table = 0.0;
+            for r in 0..bm.num_blocks() as u32 {
+                for (s, cell) in bm.row(r).iter() {
+                    table += ll_term(cell as f64, bm.d_out(r) as f64, bm.d_in(s) as f64);
+                }
+            }
+            assert_eq!(table.to_bits(), log_likelihood(&bm).to_bits());
         }
     }
 

@@ -24,16 +24,12 @@
 //! quantify that trade-off against the paper's snapshot-based A-SBP.
 
 use super::consolidate::consolidate_sweep;
-use super::{PhaseWorkspace, SweepCounters};
-use crate::budget::{RunControl, VERTEX_CHECK_STRIDE};
+use super::{serial_mh, PhaseWorkspace, SweepCounters};
+use crate::budget::RunControl;
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
 use crate::stats::RunStats;
-use hsbp_blockmodel::{
-    evaluate_move_with_mode, propose::accept_move, propose_block, Block, Blockmodel,
-    NeighborCounts, ProposalArena,
-};
-use hsbp_collections::SplitMix64;
+use hsbp_blockmodel::{Block, Blockmodel, NeighborCounts, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{with_resident, ThreadPool};
 
@@ -74,7 +70,7 @@ pub(crate) fn sweep(
         "EA-SBP replica drifted from the consolidated model"
     );
 
-    // Each worker: serial MH over its shard against its own replica with
+    // Each worker: [`serial_mh`] over its shard against its own replica with
     // immediate local updates, returning the accepted moves.
     type ShardResult = (usize, Blockmodel, Vec<(Vertex, Block)>);
     let locals: Vec<(usize, Blockmodel)> = std::mem::take(&mut ws.replicas)
@@ -91,43 +87,24 @@ pub(crate) fn sweep(
             let end = ((w + 1) * shard_len).min(n);
             with_resident(ProposalArena::default, |arena| {
                 let mut moves: Vec<(Vertex, Block)> = Vec::new();
-                for v in start..end {
-                    // Coarse per-worker cancellation checkpoint; each worker
-                    // bails with a consistent local replica, and the global
-                    // consolidation below still runs on the partial moves.
-                    if ((v - start) as u64).is_multiple_of(VERTEX_CHECK_STRIDE)
-                        && v > start
-                        && ctrl.interrupt_cause().is_some()
-                    {
-                        break;
-                    }
-                    let v = v as Vertex;
-                    let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-                    let from = local.block_of(v);
-                    let to = propose_block(graph, &local, local.assignment(), v, &mut rng);
-                    if to == from {
-                        continue;
-                    }
-                    NeighborCounts::gather_into(
-                        graph,
-                        local.assignment(),
-                        v,
-                        &mut arena.scratch,
-                        &mut arena.counts,
-                    );
-                    let eval = evaluate_move_with_mode(
-                        &local,
-                        from,
-                        to,
-                        &arena.counts,
-                        &mut arena.eval,
-                        cfg.math_mode,
-                    );
-                    if accept_move(&eval, cfg.beta, &mut rng) {
-                        local.apply_move(v, from, to, &arena.counts);
-                        moves.push((v, to));
-                    }
-                }
+                // Each worker bails at its own checkpoint with a consistent
+                // local replica; the global consolidation below still runs
+                // on the partial moves.
+                serial_mh(
+                    graph,
+                    &mut local,
+                    start as Vertex..end as Vertex,
+                    cfg.beta,
+                    salt,
+                    sweep_idx,
+                    ctrl,
+                    arena,
+                    |v, moved| {
+                        if let Some(to) = moved {
+                            moves.push((v, to));
+                        }
+                    },
+                );
                 (w, local, moves)
             })
         },

@@ -8,6 +8,8 @@ mod exact_async;
 mod hybrid;
 mod metropolis;
 
+pub use metropolis::{serial_mh, SerialPass};
+
 use crate::budget::RunControl;
 use crate::config::{SbpConfig, Variant};
 use crate::error::HsbpError;
@@ -97,12 +99,12 @@ pub fn run_mcmc_phase(
 
 /// [`run_mcmc_phase`] under a [`RunControl`], with the cadenced drift audit.
 ///
-/// Budget/cancel checks run at every sweep boundary (and, for the serial
-/// sweep loops, every [`crate::budget::VERTEX_CHECK_STRIDE`] vertices); a
-/// tripped control marks the outcome `truncated` and stops the phase. When
-/// `cfg.audit_cadence > 0`, the incremental blockmodel state is audited
-/// against a rebuild from membership every `audit_cadence` cumulative
-/// sweeps: divergence is repaired in place and recorded in
+/// Budget/cancel checks run at every sweep boundary (and, inside
+/// [`serial_mh`] passes, every [`crate::budget::VERTEX_CHECK_STRIDE`]
+/// vertices); a tripped control marks the outcome `truncated` and stops
+/// the phase. When `cfg.audit_cadence > 0`, the incremental blockmodel
+/// state is audited against a rebuild from membership every
+/// `audit_cadence` cumulative sweeps: divergence is repaired in place and recorded in
 /// `stats.drift_events`, or — with `cfg.strict_audit` — returned as
 /// `Err(HsbpError::StateDrift)`. That error is the only failure mode.
 pub fn run_mcmc_phase_controlled(
@@ -168,16 +170,17 @@ pub fn run_mcmc_phase_controlled(
             break;
         }
         let counters = match cfg.variant {
-            Variant::Metropolis => metropolis::sweep(
+            Variant::Metropolis => metropolis::charged_pass(
                 graph,
                 bm,
+                0..n as Vertex,
                 cfg,
                 salt,
                 sweeps as u64,
                 stats,
                 ctrl,
                 &mut ws.arena,
-            )?,
+            ),
             Variant::AsyncGibbs if use_stale => {
                 // Evaluate against the oldest retained model (at most
                 // `staleness` sweeps old), then retire it.

@@ -6,8 +6,8 @@
 //! re-sweeps the **dirty region** — the vertices a mutation touched plus
 //! their one-hop neighbourhood, the only places where the blockmodel's
 //! sufficient statistics changed. The resweep is the serial
-//! Metropolis-Hastings kernel restricted to that region (immediate
-//! `apply_move` updates through the PR 4 arena machinery), run under a
+//! Metropolis-Hastings kernel [`serial_mh`] restricted to that region
+//! (immediate `apply_move` updates), run under a
 //! [`RunBudget`] with cooperative cancellation so a newly arriving mutation
 //! batch can interrupt it between proposal strides without leaving the
 //! model in a state no full sweep could produce.
@@ -19,16 +19,13 @@
 //! arXiv 2305.18663, and SamBaS's partial-refinement argument,
 //! arXiv 2108.06651).
 
-use crate::budget::{CancelToken, RunBudget, RunControl, StopCause, VERTEX_CHECK_STRIDE};
+use crate::budget::{CancelToken, RunBudget, RunControl, StopCause};
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
+use crate::mcmc::serial_mh;
 use crate::stats::{DriftEvent, RunStats};
-use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with_mode, mdl, propose::accept_move, propose_block,
-    repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
-};
+use hsbp_blockmodel::{audit_blockmodel, mdl, repair_blockmodel, Block, Blockmodel, ProposalArena};
 use hsbp_collections::sample::mix_words;
-use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, Vertex, Weight};
 
 /// Result of one incremental refinement round.
@@ -129,52 +126,6 @@ pub fn expand_dirty_region(graph: &Graph, dirty: &[Vertex]) -> Vec<Vertex> {
     (0..n as Vertex)
         .filter(|&v| in_region[v as usize])
         .collect()
-}
-
-/// One serial MH sweep restricted to `region` (immediate `apply_move`
-/// updates, identical kernel to the full Metropolis sweep). Returns false
-/// when the control interrupted the sweep part-way.
-#[allow(clippy::too_many_arguments)]
-fn sweep_region(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    region: &[Vertex],
-    cfg: &SbpConfig,
-    salt: u64,
-    sweep_idx: u64,
-    stats: &mut RunStats,
-    ctrl: &RunControl,
-    arena: &mut ProposalArena,
-) -> bool {
-    for (i, &v) in region.iter().enumerate() {
-        if (i as u64).is_multiple_of(VERTEX_CHECK_STRIDE)
-            && i > 0
-            && ctrl.interrupt_cause().is_some()
-        {
-            return false;
-        }
-        let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-        let from = bm.block_of(v);
-        let to = propose_block(graph, bm, bm.assignment(), v, &mut rng);
-        stats.proposals += 1;
-        if to == from {
-            continue;
-        }
-        NeighborCounts::gather_into(
-            graph,
-            bm.assignment(),
-            v,
-            &mut arena.scratch,
-            &mut arena.counts,
-        );
-        let eval =
-            evaluate_move_with_mode(bm, from, to, &arena.counts, &mut arena.eval, cfg.math_mode);
-        if accept_move(&eval, cfg.beta, &mut rng) {
-            bm.apply_move(v, from, to, &arena.counts);
-            stats.accepted += 1;
-        }
-    }
-    true
 }
 
 /// Compact a label space in place: occupied blocks keep their relative
@@ -279,18 +230,21 @@ pub fn refine_partition(
             truncated = true;
             break;
         }
-        let completed = sweep_region(
+        let mut accepted = 0;
+        let pass = serial_mh(
             graph,
             &mut bm,
-            &region,
-            cfg,
+            region.iter().copied(),
+            cfg.beta,
             salt,
             sweeps as u64,
-            &mut stats,
             &ctrl,
             &mut arena,
+            |_, moved| accepted += u64::from(moved.is_some()),
         );
-        if !completed {
+        stats.proposals += pass.proposals;
+        stats.accepted += accepted;
+        if pass.interrupted {
             stats.stop_cause = ctrl.interrupt_cause().unwrap_or(StopCause::Cancelled);
             truncated = true;
             break;

@@ -1,13 +1,15 @@
-//! Golden-bit pins for `MathMode::Exact`.
+//! Golden-bit pins: MDL bits plus an assignment fingerprint for fixed runs.
 //!
-//! The fast-math work (x·ln x tables, SoA rows, batched proposals) must not
-//! perturb the exact path: these fingerprints were captured from the
-//! pre-fastmath tree, and every refactor since has to reproduce them
-//! bit-for-bit across all four variants, thread counts 1/2/7, and under
-//! budget truncation.
+//! The full-run fingerprints were captured on the libm tree before the
+//! fast-math work (`ln` table, SoA rows, batched proposals), and every
+//! refactor since has to reproduce them bit-for-bit across all four
+//! variants, thread counts 1/2/7, and under budget truncation. The
+//! dirty-region refinement pins were captured before `refine_partition`'s
+//! resweep moved onto the shared serial Metropolis-Hastings kernel.
 
-use hsbp_core::{run_sbp_budgeted, CancelToken, RunBudget, SbpConfig, Variant};
+use hsbp_core::{refine_partition, run_sbp_budgeted, CancelToken, RunBudget, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
+use hsbp_graph::{GraphBuilder, Vertex};
 
 /// FNV-1a over the assignment labels plus the block count.
 fn fingerprint(assignment: &[u32], num_blocks: usize) -> u64 {
@@ -113,7 +115,7 @@ const GOLDEN: [(Variant, bool, u64, u64); 8] = [
 ];
 
 #[test]
-fn exact_mode_matches_prechange_golden_bits() {
+fn full_runs_match_prechange_golden_bits() {
     for (variant, truncated, mdl_bits, fp) in GOLDEN {
         for threads in [1usize, 2, 7] {
             let (got_bits, got_fp) = pin_case(variant, threads, truncated);
@@ -128,5 +130,84 @@ fn exact_mode_matches_prechange_golden_bits() {
                  got {got_fp:#018x}, pinned {fp:#018x}"
             );
         }
+    }
+}
+
+/// Refine a mutated copy of the pin graph — every tenth edge dropped, 12
+/// vertices grown, 150 random edges added — warm-started from the planted
+/// labels with every seventh vertex relabelled. Returns the refined MDL bits
+/// and assignment fingerprint.
+fn refine_case(truncated: bool) -> (u64, u64) {
+    let data = generate(DcsbmConfig {
+        num_vertices: 600,
+        num_communities: 6,
+        target_num_edges: 4800,
+        seed: 11,
+        ..Default::default()
+    });
+    let n = data.graph.num_vertices();
+    let grow = 12;
+    let mut state: u64 = 0x5eed;
+    let mut rnd = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut dirty: Vec<Vertex> = Vec::new();
+    let mut b = GraphBuilder::new(n + grow);
+    for (i, (u, v, w)) in data.graph.edges().enumerate() {
+        if i % 10 == 0 {
+            dirty.extend([u, v]);
+        } else {
+            b.add_edge_weighted(u, v, w);
+        }
+    }
+    for _ in 0..150 {
+        let (u, v) = (rnd() % (n + grow), rnd() % (n + grow));
+        if u != v {
+            b.add_edge(u as Vertex, v as Vertex);
+            dirty.extend([u as Vertex, v as Vertex]);
+        }
+    }
+    let graph = b.build();
+    let mut warm = data.ground_truth.clone();
+    for v in (0..n).step_by(7) {
+        warm[v] = (warm[v] + 1) % 6;
+        dirty.push(v as Vertex);
+    }
+    let cfg = SbpConfig::new(Variant::Metropolis, 1303);
+    let budget = if truncated {
+        RunBudget::unlimited().with_max_total_sweeps(2)
+    } else {
+        RunBudget::unlimited()
+    };
+    let out = refine_partition(&graph, &warm, 6, &dirty, &cfg, &budget, &CancelToken::new())
+        .unwrap_or_else(|e| panic!("refinement failed: {e}"));
+    assert_eq!(out.truncated, truncated, "sweeps run: {}", out.sweeps);
+    (
+        out.mdl.total.to_bits(),
+        fingerprint(&out.assignment, out.num_blocks),
+    )
+}
+
+/// `truncated -> (mdl_bits, fingerprint)` of the refinement pin.
+const REFINE_GOLDEN: [(bool, u64, u64); 2] = [
+    (false, 0x40e1_ffaa_a766_710e, 0xfb2e_5463_beb8_97ed),
+    (true, 0x40e2_5166_1f78_e702, 0xf866_bb49_2b64_5f66),
+];
+
+#[test]
+fn refine_partition_matches_golden_bits() {
+    for (truncated, mdl_bits, fp) in REFINE_GOLDEN {
+        let (got_bits, got_fp) = refine_case(truncated);
+        assert_eq!(
+            got_bits, mdl_bits,
+            "refined MDL bits drifted (trunc={truncated}): got {got_bits:#018x}, pinned {mdl_bits:#018x}"
+        );
+        assert_eq!(
+            got_fp, fp,
+            "refined assignment drifted (trunc={truncated}): got {got_fp:#018x}, pinned {fp:#018x}"
+        );
     }
 }

@@ -47,14 +47,12 @@ use crate::channel::{
 };
 use crate::stitch::reassign_dropped;
 use hsbp_blockmodel::{
-    audit_blockmodel, evaluate_move_with_mode, mdl, propose::accept_move, propose_block,
-    repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
+    audit_blockmodel, mdl, repair_blockmodel, Block, Blockmodel, NeighborCounts, ProposalArena,
 };
 use hsbp_collections::sample::mix_words;
-use hsbp_collections::SplitMix64;
 use hsbp_core::{
-    merge_phase_controlled, DriftEvent, HsbpError, McmcOutcome, RunControl, RunStats, SbpConfig,
-    SbpResult,
+    merge_phase_controlled, serial_mh, DriftEvent, HsbpError, McmcOutcome, RunControl, RunStats,
+    SbpConfig, SbpResult,
 };
 use hsbp_graph::{Graph, Vertex};
 use hsbp_parallel::{pool_for, with_resident, ThreadPool};
@@ -339,9 +337,9 @@ impl<'a> Cluster<'a> {
             .filter(|&s| !self.net.plan().is_silent(s, round))
             .collect();
 
-        // 1. Local sweeps: serial MH over the owned vertices against the
+        // 1. Local sweeps: `serial_mh` over the owned vertices against the
         // shard's own replica, immediate local updates, moves recorded in
-        // application order (the EA-SBP worker loop, verbatim).
+        // application order (the EA-SBP worker loop).
         type ShardMoves = (usize, Blockmodel, Vec<(Vertex, Block)>);
         let locals: Vec<(usize, Blockmodel)> = senders
             .iter()
@@ -355,6 +353,9 @@ impl<'a> Cluster<'a> {
             })
             .collect();
         let owned = &self.owned;
+        // The shard loops take no interrupts: only round boundaries check
+        // the run's control.
+        let unlimited = RunControl::unlimited();
         let results: Vec<ShardMoves> = exec.map_vec(
             locals,
             || (),
@@ -362,34 +363,21 @@ impl<'a> Cluster<'a> {
                 with_resident(ProposalArena::default, |arena| {
                     let mut moves: Vec<(Vertex, Block)> = Vec::new();
                     for step in 0..batch {
-                        let sweep_idx = sweep_base + step as u64;
-                        for &v in &owned[s] {
-                            let mut rng = SplitMix64::for_item(salt, sweep_idx, u64::from(v));
-                            let from = local.block_of(v);
-                            let to = propose_block(graph, &local, local.assignment(), v, &mut rng);
-                            if to == from {
-                                continue;
-                            }
-                            NeighborCounts::gather_into(
-                                graph,
-                                local.assignment(),
-                                v,
-                                &mut arena.scratch,
-                                &mut arena.counts,
-                            );
-                            let eval = evaluate_move_with_mode(
-                                &local,
-                                from,
-                                to,
-                                &arena.counts,
-                                &mut arena.eval,
-                                cfg.math_mode,
-                            );
-                            if accept_move(&eval, cfg.beta, &mut rng) {
-                                local.apply_move(v, from, to, &arena.counts);
-                                moves.push((v, to));
-                            }
-                        }
+                        serial_mh(
+                            graph,
+                            &mut local,
+                            owned[s].iter().copied(),
+                            cfg.beta,
+                            salt,
+                            sweep_base + step as u64,
+                            &unlimited,
+                            arena,
+                            |v, moved| {
+                                if let Some(to) = moved {
+                                    moves.push((v, to));
+                                }
+                            },
+                        );
                     }
                     (s, local, moves)
                 })
