@@ -1,24 +1,37 @@
-//! O(degree) evaluation of the MDL change of a proposed vertex move or block
-//! merge, plus the Hastings correction — all without mutating the model.
+//! Evaluation of the MDL change of a proposed vertex move or block merge,
+//! plus the Hastings correction — all without mutating the model.
 //!
-//! A vertex move `v: r → s` only touches rows `r`, `s` and columns `r`, `s`
-//! of `B` (and the four block degrees `d_out/d_in` of `r` and `s`), so the
-//! likelihood delta is the difference of Eq.-1 terms over exactly those
-//! entries. The same holds for a block merge. Correctness is enforced by
-//! property tests comparing against a full recompute on a mutated clone.
+//! **Moves walk the changed cells only.** Because `Σ_s B[r][s] = d_out[r]`
+//! and `Σ_r B[r][s] = d_in[s]`, Eq. 1 regroups as
 //!
-//! All per-proposal state lives in reusable epoch-stamped
-//! [`ScratchCounter`]s bundled into a [`ProposalArena`]; the steady-state
+//! ```text
+//! L(G|B) = Σ_cells B·ln B − Σ_r d_out[r]·ln d_out[r] − Σ_s d_in[s]·ln d_in[s]
+//! ```
+//!
+//! A move `v: from → to` changes one pair of cells per neighbour block of
+//! `v`, the four corner cells of rows/columns `from`/`to`, and the four
+//! degrees `d_out/d_in` of `from` and `to`. The delta is the sum of
+//! `xlnx(old) − xlnx(new)` over exactly those, so a proposal costs
+//! O(degree · log K) (one [`Blockmodel::edge_count`] search per cell)
+//! instead of a walk over four whole lines of `B`.
+//!
+//! **Merges keep the line sum.** A merge rewrites rows and columns `r` and
+//! `s` wholesale, so [`delta_mdl_merge_with`] stays an O(line length)
+//! merge-walk over the two sorted lines with Eq.-1 terms. Its rounding is
+//! part of the golden-run contract: regrouping it changes which merges win
+//! and moves the pinned end-to-end results.
+//!
+//! Neither kernel needs scratch state: the per-proposal state is the
+//! gathered [`NeighborCounts`] in a [`ProposalArena`], and the steady-state
 //! proposal loop performs zero heap allocations (enforced over
 //! `hsbp_core::serial_mh` by core's `alloc_hotpath` integration test).
-//! Every counter iterates in ascending
-//! key order, so the float summations below are pure functions of the
-//! logical state — a prerequisite for bit-identical incremental sweep
-//! consolidation.
+//! Every sum walks keys in ascending order, so its float result is a pure
+//! function of the logical state — a prerequisite for bit-identical
+//! incremental sweep consolidation.
 
-use crate::fastmath::ll_term;
+use crate::fastmath::{ll_term, xlnx};
 use crate::model::{Block, Blockmodel};
-use hsbp_collections::{ScratchCounter, SplitMix64};
+use hsbp_collections::{ScratchCounter, SparseRow, SplitMix64};
 use hsbp_graph::{Graph, Vertex, Weight};
 
 /// Census of a vertex's neighbourhood by block: how many edge endpoints `v`
@@ -122,19 +135,16 @@ pub struct MoveScratch {
     inn: ScratchCounter,
 }
 
-/// Reusable counters for [`evaluate_move_with`] and
-/// [`delta_mdl_merge_with`]: the signed working image of the affected
-/// rows/columns of `B` plus the neighbour-block census.
+/// Scratch parameter of [`evaluate_move_with`] and [`delta_mdl_merge_with`].
+///
+/// Neither kernel keeps working state (both read the model directly), so
+/// the type is empty. It stays, with the [`ProposalArena::eval`] field and
+/// the `scratch` parameters, so that callers written against the scratch
+/// API build as they are — among them the benchmark's per-layer probe
+/// `perfbench/src/probe.rs`, which is kept unchanged between benchmark
+/// versions.
 #[derive(Debug, Default)]
-pub struct EvalScratch {
-    row_from: ScratchCounter,
-    row_to: ScratchCounter,
-    /// Column entries `B[a][from]` for `a ∉ {from, to}`.
-    col_from: ScratchCounter,
-    /// Column entries `B[a][to]` for `a ∉ {from, to}`.
-    col_to: ScratchCounter,
-    census: ScratchCounter,
-}
+pub struct EvalScratch {}
 
 /// Staged proposals for one chunk of a frozen-model sweep.
 ///
@@ -165,15 +175,15 @@ impl ProposalBatch {
 }
 
 /// Everything one worker needs to evaluate proposals without allocating:
-/// gather counters, the reusable neighbour-count buffers and the move
-/// evaluation image. One arena per worker, reused across sweeps.
+/// gather counters, the reusable neighbour-count buffers and the staged
+/// batch. One arena per worker, reused across sweeps.
 #[derive(Debug, Default)]
 pub struct ProposalArena {
     /// Gather counters for [`NeighborCounts::gather_into`].
     pub scratch: MoveScratch,
     /// Reusable result buffer for the gathered counts.
     pub counts: NeighborCounts,
-    /// Move-evaluation image for [`evaluate_move_with`].
+    /// Scratch parameter for [`evaluate_move_with`] (empty).
     pub eval: EvalScratch,
     /// Staged per-chunk proposals for batched frozen-model sweeps.
     pub batch: ProposalBatch,
@@ -189,271 +199,155 @@ pub struct MoveEval {
     pub hastings: f64,
 }
 
-/// Degrees of the two affected blocks in the working image.
-struct AffectedDegrees {
-    d_out_from: i64,
-    d_out_to: i64,
-    d_in_from: i64,
-    d_in_to: i64,
+/// `v`'s edge weight into/out of the two blocks of a move, split by
+/// direction: the corrections that turn the old corner cells
+/// `B[from|to][from|to]` into the new ones.
+struct CornerWeights {
+    out_from: Weight,
+    out_to: Weight,
+    in_from: Weight,
+    in_to: Weight,
 }
 
-/// Load the affected rows/columns of `B` into the scratch image.
-fn snapshot(scratch: &mut EvalScratch, bm: &Blockmodel, from: Block, to: Block) -> AffectedDegrees {
-    scratch.row_from.begin();
-    scratch.row_to.begin();
-    scratch.col_from.begin();
-    scratch.col_to.begin();
-    for (t, w) in bm.row(from).iter() {
-        scratch.row_from.add(t, w as i64);
-    }
-    for (t, w) in bm.row(to).iter() {
-        scratch.row_to.add(t, w as i64);
-    }
-    for (a, w) in bm.col(from).iter() {
-        if a != from && a != to {
-            scratch.col_from.add(a, w as i64);
+impl CornerWeights {
+    fn of(counts: &NeighborCounts, from: Block, to: Block) -> Self {
+        let weight_at = |list: &[(Block, Weight)], b: Block| {
+            list.binary_search_by_key(&b, |&(t, _)| t)
+                .map_or(0, |i| list[i].1)
+        };
+        Self {
+            out_from: weight_at(&counts.out_counts, from),
+            out_to: weight_at(&counts.out_counts, to),
+            in_from: weight_at(&counts.in_counts, from),
+            in_to: weight_at(&counts.in_counts, to),
         }
     }
-    for (a, w) in bm.col(to).iter() {
-        if a != from && a != to {
-            scratch.col_to.add(a, w as i64);
-        }
-    }
-    AffectedDegrees {
-        d_out_from: bm.d_out(from) as i64,
-        d_out_to: bm.d_out(to) as i64,
-        d_in_from: bm.d_in(from) as i64,
-        d_in_to: bm.d_in(to) as i64,
-    }
 }
 
-/// Sum of Eq.-1 terms over the affected entries with the image's current
-/// values and degrees. Iterates each counter in key order, so the float sum
-/// is deterministic.
-fn likelihood_part(
-    scratch: &mut EvalScratch,
-    bm: &Blockmodel,
-    from: Block,
-    to: Block,
-    deg: &AffectedDegrees,
-) -> f64 {
-    let d_in_of = |t: Block| -> f64 {
-        if t == from {
-            deg.d_in_from as f64
-        } else if t == to {
-            deg.d_in_to as f64
-        } else {
-            bm.d_in(t) as f64
-        }
-    };
-    let mut total = 0.0;
-    let d_out_from = deg.d_out_from as f64;
-    scratch.row_from.for_each_sorted(|t, b| {
-        total += ll_term(b as f64, d_out_from, d_in_of(t));
-    });
-    let d_out_to = deg.d_out_to as f64;
-    scratch.row_to.for_each_sorted(|t, b| {
-        total += ll_term(b as f64, d_out_to, d_in_of(t));
-    });
-    let d_in_from = deg.d_in_from as f64;
-    scratch.col_from.for_each_sorted(|a, b| {
-        total += ll_term(b as f64, bm.d_out(a) as f64, d_in_from);
-    });
-    let d_in_to = deg.d_in_to as f64;
-    scratch.col_to.for_each_sorted(|a, b| {
-        total += ll_term(b as f64, bm.d_out(a) as f64, d_in_to);
-    });
-    total
+/// `xlnx(old) − xlnx(new)`: one changed cell's or degree's share of
+/// `L_old − L_new` in the regrouped Eq. 1.
+#[inline]
+fn xlnx_drop(old: Weight, new: Weight) -> f64 {
+    xlnx(old as f64) - xlnx(new as f64)
 }
 
-/// Mutate the image to reflect the move `v: from -> to`.
-fn apply_image(
-    scratch: &mut EvalScratch,
-    counts: &NeighborCounts,
-    from: Block,
-    to: Block,
-    deg: &mut AffectedDegrees,
-) {
-    // Out-edges v -> (block t): B[from][t] -= w, B[to][t] += w.
-    for &(t, w) in &counts.out_counts {
-        let w = w as i64;
-        scratch.row_from.add(t, -w);
-        scratch.row_to.add(t, w);
-    }
-    // In-edges (block a) -> v: B[a][from] -= w, B[a][to] += w. When
-    // a ∈ {from, to} the entry lives in a tracked *row*, otherwise in a
-    // tracked column.
-    for &(a, w) in &counts.in_counts {
-        let w = w as i64;
-        if a == from {
-            scratch.row_from.add(from, -w);
-            scratch.row_from.add(to, w);
-        } else if a == to {
-            scratch.row_to.add(from, -w);
-            scratch.row_to.add(to, w);
-        } else {
-            scratch.col_from.add(a, -w);
-            scratch.col_to.add(a, w);
-        }
-    }
-    // Self-loops travel along the diagonal.
-    if counts.self_loops > 0 {
-        let w = counts.self_loops as i64;
-        scratch.row_from.add(from, -w);
-        scratch.row_to.add(to, w);
-    }
-    let k_out = counts.k_out() as i64;
-    let k_in = counts.k_in() as i64;
-    deg.d_out_from -= k_out;
-    deg.d_out_to += k_out;
-    deg.d_in_from -= k_in;
-    deg.d_in_to += k_in;
-    debug_assert!(deg.d_out_from >= 0 && deg.d_in_from >= 0);
-}
-
-fn d_total_of(deg: &AffectedDegrees, bm: &Blockmodel, t: Block, from: Block, to: Block) -> i64 {
-    if t == from {
-        deg.d_out_from + deg.d_in_from
-    } else if t == to {
-        deg.d_out_to + deg.d_in_to
-    } else {
-        bm.d_total(t) as i64
-    }
-}
-
-/// Evaluate a proposed move `v: from → to`, allocating fresh scratch.
+/// Evaluate a proposed move `v: from → to`.
 ///
-/// Compatibility wrapper around [`evaluate_move_with`]; hot loops should
-/// hold a [`ProposalArena`] and pass its `eval` field instead.
+/// Compatibility wrapper around [`evaluate_move_with`].
 pub fn evaluate_move(bm: &Blockmodel, from: Block, to: Block, counts: &NeighborCounts) -> MoveEval {
     evaluate_move_with(bm, from, to, counts, &mut EvalScratch::default())
 }
 
 /// Evaluate a proposed move `v: from → to`: its MDL delta and Hastings
 /// correction. `counts` must be gathered with `v` still in `from`.
-/// Allocation-free once `scratch` has warmed up.
+/// Allocation-free; `_scratch` is unused (see [`EvalScratch`]).
 ///
-/// The Hastings factor follows the graph-challenge reference: with the
-/// neighbour-block census `{(t, k_t)}` of `v` (self-loops counted toward
-/// `from`), `C = num_blocks`,
+/// The delta sums the regrouped Eq. 1 (module docs) over the cells and
+/// degrees the move changes, with the same updates as
+/// [`Blockmodel::apply_move`]. The Hastings factor follows the
+/// graph-challenge reference: with the neighbour-block census `{(t, k_t)}`
+/// of `v` (self-loops counted twice toward `from`), `C = num_blocks`,
 ///
 /// ```text
 /// p_fwd = Σ_t k_t/k_v · (B[t][to]   + B[to][t]   + 1) / (d_t + C)    (old B)
 /// p_bwd = Σ_t k_t/k_v · (B'[t][from] + B'[from][t] + 1) / (d'_t + C)  (new B)
 /// ```
+///
+/// summed in ascending `t`; `B'` is the old cell plus `v`'s edge weight,
+/// so no post-move image is built.
 pub fn evaluate_move_with(
     bm: &Blockmodel,
     from: Block,
     to: Block,
     counts: &NeighborCounts,
-    scratch: &mut EvalScratch,
+    _scratch: &mut EvalScratch,
 ) -> MoveEval {
-    if from == to {
+    let (k_out, k_in) = (counts.k_out(), counts.k_in());
+    let k_v = k_out + k_in;
+    if from == to || k_v == 0 {
         return MoveEval {
             delta_mdl: 0.0,
             hastings: 1.0,
         };
     }
-    let mut deg = snapshot(scratch, bm, from, to);
-    let old_part = likelihood_part(scratch, bm, from, to, &deg);
+    let loops = counts.self_loops;
+    let w = CornerWeights::of(counts, from, to);
+    let (ff, ft) = (bm.edge_count(from, from), bm.edge_count(from, to));
+    let (tf, tt) = (bm.edge_count(to, from), bm.edge_count(to, to));
+    let ff_new = ff - w.out_from - w.in_from - loops;
+    let ft_new = ft - w.out_to + w.in_from;
+    let tf_new = tf + w.out_from - w.in_to;
+    let tt_new = tt + w.out_to + w.in_to + loops;
 
-    // Combined neighbour-block census (both directions; self-loops toward
-    // the *current* block of v, i.e. `from`).
-    scratch.census.begin();
-    for &(t, w) in counts.out_counts.iter().chain(counts.in_counts.iter()) {
-        scratch.census.add(t, w as i64);
-    }
-    if counts.self_loops > 0 {
-        scratch.census.add(from, 2 * counts.self_loops as i64);
-    }
-    let k_v: i64 = counts.degree() as i64;
     let c = bm.num_blocks() as f64;
-
-    // Forward probability uses the pre-move matrix.
-    let mut p_fwd = 0.0;
-    if k_v > 0 {
-        scratch.census.for_each_sorted(|t, k_t| {
-            let mass = if t == to {
-                2 * bm.edge_count(to, to)
-            } else {
-                bm.edge_count(t, to) + bm.edge_count(to, t)
-            };
-            p_fwd += k_t as f64 * (mass as f64 + 1.0) / (bm.d_total(t) as f64 + c);
-        });
-        p_fwd /= k_v as f64;
-    }
-
-    apply_image(scratch, counts, from, to, &mut deg);
-    let new_part = likelihood_part(scratch, bm, from, to, &deg);
-
-    // Backward probability uses the post-move matrix (labels of the census
-    // unchanged, matching the reference implementation).
-    let mut p_bwd = 0.0;
-    if k_v > 0 {
-        let EvalScratch {
-            row_from,
-            row_to,
-            col_from,
-            col_to,
-            census,
-        } = scratch;
-        // Re-borrow the image immutably for lookups while the census drives
-        // the iteration.
-        let image = EvalScratchRef {
-            row_from,
-            row_to,
-            col_from,
-            col_to,
+    let (mut cells, mut p_fwd, mut p_bwd) = (0.0, 0.0, 0.0);
+    // Ascending merge of the out- and in-census, with the self-loops'
+    // `from` entry joining it even when `v` has no other edge into `from`.
+    let (out, inn) = (&counts.out_counts, &counts.in_counts);
+    let (mut i, mut j) = (0, 0);
+    let mut loops_pending = loops > 0;
+    loop {
+        let next_out = out.get(i).map(|&(t, _)| t);
+        let next_in = inn.get(j).map(|&(t, _)| t);
+        let Some(t) = [next_out, next_in, loops_pending.then_some(from)]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
         };
-        census.for_each_sorted(|t, k_t| {
-            let mass = image.pair_mass(bm, t, from, from, to);
-            let d_t = d_total_of(&deg, bm, t, from, to);
-            p_bwd += k_t as f64 * (mass as f64 + 1.0) / (d_t as f64 + c);
-        });
-        p_bwd /= k_v as f64;
-    }
-
-    let hastings = if p_fwd > 0.0 && k_v > 0 {
-        p_bwd / p_fwd
-    } else {
-        1.0
-    };
-    MoveEval {
-        delta_mdl: old_part - new_part,
-        hastings,
-    }
-}
-
-/// Immutable view over the four image counters (the census counter needs a
-/// disjoint mutable borrow while these are read).
-struct EvalScratchRef<'a> {
-    row_from: &'a ScratchCounter,
-    row_to: &'a ScratchCounter,
-    col_from: &'a ScratchCounter,
-    col_to: &'a ScratchCounter,
-}
-
-impl EvalScratchRef<'_> {
-    fn pair_mass(&self, bm: &Blockmodel, t: Block, target: Block, from: Block, to: Block) -> i64 {
-        let get = |row: Block, col: Block| -> i64 {
-            if row == from {
-                self.row_from.get(col)
-            } else if row == to {
-                self.row_to.get(col)
-            } else if col == from {
-                self.col_from.get(row)
-            } else if col == to {
-                self.col_to.get(row)
+        let take = |next: Option<Block>, list: &[(Block, Weight)], at: &mut usize| {
+            if next == Some(t) {
+                *at += 1;
+                list[*at - 1].1
             } else {
-                bm.edge_count(row, col) as i64
+                0
             }
         };
-        if t == target {
-            // Diagonal cell counted once in each direction = twice.
-            2 * get(t, t)
-        } else {
-            get(t, target) + get(target, t)
+        let ow = take(next_out, out, &mut i);
+        let iw = take(next_in, inn, &mut j);
+        let mut k_t = ow + iw;
+        if t == from {
+            k_t += 2 * loops;
+            loops_pending = false;
         }
+        let (fwd_mass, bwd_mass, d_new) = if t == from {
+            (ft + tf, 2 * ff_new, bm.d_total(from) - k_v)
+        } else if t == to {
+            (2 * tt, tf_new + ft_new, bm.d_total(to) + k_v)
+        } else {
+            // Row cells `B[from|to][t]` lose/gain `v`'s out-edges into
+            // `t`; column cells `B[t][from|to]` its in-edges from `t`.
+            let (from_t, to_t) = (bm.edge_count(from, t), bm.edge_count(to, t));
+            let (t_from, t_to) = (bm.edge_count(t, from), bm.edge_count(t, to));
+            if ow > 0 {
+                cells += xlnx_drop(from_t, from_t - ow) + xlnx_drop(to_t, to_t + ow);
+            }
+            if iw > 0 {
+                cells += xlnx_drop(t_from, t_from - iw) + xlnx_drop(t_to, t_to + iw);
+            }
+            (t_to + to_t, (t_from - iw) + (from_t - ow), bm.d_total(t))
+        };
+        p_fwd += k_t as f64 * (fwd_mass as f64 + 1.0) / (bm.d_total(t) as f64 + c);
+        p_bwd += k_t as f64 * (bwd_mass as f64 + 1.0) / (d_new as f64 + c);
+    }
+    cells += xlnx_drop(ff, ff_new)
+        + xlnx_drop(ft, ft_new)
+        + xlnx_drop(tf, tf_new)
+        + xlnx_drop(tt, tt_new);
+    let (d_out_from, d_out_to) = (bm.d_out(from), bm.d_out(to));
+    let (d_in_from, d_in_to) = (bm.d_in(from), bm.d_in(to));
+    let degrees = xlnx_drop(d_out_from, d_out_from - k_out)
+        + xlnx_drop(d_out_to, d_out_to + k_out)
+        + xlnx_drop(d_in_from, d_in_from - k_in)
+        + xlnx_drop(d_in_to, d_in_to + k_in);
+
+    p_fwd /= k_v as f64;
+    p_bwd /= k_v as f64;
+    let hastings = if p_fwd > 0.0 { p_bwd / p_fwd } else { 1.0 };
+    MoveEval {
+        delta_mdl: cells - degrees,
+        hastings,
     }
 }
 
@@ -462,7 +356,7 @@ pub fn delta_mdl_move(bm: &Blockmodel, from: Block, to: Block, counts: &Neighbor
     evaluate_move(bm, from, to, counts).delta_mdl
 }
 
-/// Likelihood-part MDL delta of merging `r` into `s`, allocating scratch.
+/// Likelihood-part MDL delta of merging `r` into `s`.
 ///
 /// Compatibility wrapper around [`delta_mdl_merge_with`].
 pub fn delta_mdl_merge(bm: &Blockmodel, r: Block, s: Block) -> f64 {
@@ -470,11 +364,20 @@ pub fn delta_mdl_merge(bm: &Blockmodel, r: Block, s: Block) -> f64 {
 }
 
 /// Likelihood-part MDL delta of merging block `r` into block `s`, computed
-/// without touching the model and without allocating (given a warmed
-/// `scratch`). The (identical for every candidate) model complexity change
-/// from `C → C−1` is *not* included; add
+/// without touching the model and without allocating; `_scratch` is unused
+/// (see [`EvalScratch`]). The (identical for every candidate) model
+/// complexity change from `C → C−1` is *not* included; add
 /// [`crate::mdl::model_complexity_delta`] for the full ΔMDL.
-pub fn delta_mdl_merge_with(bm: &Blockmodel, r: Block, s: Block, scratch: &mut EvalScratch) -> f64 {
+///
+/// Sums Eq.-1 terms over rows and columns `r`, `s` before the merge, and
+/// over the merged row and column after it, each in ascending key order
+/// (see the module docs for why the merge keeps the line sum).
+pub fn delta_mdl_merge_with(
+    bm: &Blockmodel,
+    r: Block,
+    s: Block,
+    _scratch: &mut EvalScratch,
+) -> f64 {
     if r == s {
         return 0.0;
     }
@@ -498,22 +401,6 @@ pub fn delta_mdl_merge_with(bm: &Blockmodel, r: Block, s: Block, scratch: &mut E
         }
     }
 
-    // Merged row: row r + row s with key r folded into s (reuses the
-    // `row_from` counter as the merged-row buffer).
-    let new_row = &mut scratch.row_from;
-    new_row.begin();
-    for (t, b) in bm.row(r).iter().chain(bm.row(s).iter()) {
-        let key = if t == r { s } else { t };
-        new_row.add(key, b as i64);
-    }
-    // Merged column, excluding rows r and s (their mass is in new_row).
-    let new_col = &mut scratch.col_from;
-    new_col.begin();
-    for (a, b) in bm.col(r).iter().chain(bm.col(s).iter()) {
-        if a != r && a != s {
-            new_col.add(a, b as i64);
-        }
-    }
     let d_out_merged = (bm.d_out(r) + bm.d_out(s)) as f64;
     let d_in_merged = (bm.d_in(r) + bm.d_in(s)) as f64;
     let d_in_of = |t: Block| -> f64 {
@@ -523,15 +410,66 @@ pub fn delta_mdl_merge_with(bm: &Blockmodel, r: Block, s: Block, scratch: &mut E
             bm.d_in(t) as f64
         }
     };
-
     let mut new_part = 0.0;
-    scratch.row_from.for_each_sorted(|t, b| {
+    // Merged row: row r + row s with key r folded into s.
+    merge_lines(bm.row(r), bm.row(s), r, s, true, |t, b| {
         new_part += ll_term(b as f64, d_out_merged, d_in_of(t));
     });
-    scratch.col_from.for_each_sorted(|a, b| {
+    // Merged column, excluding rows r and s (their mass is in the row).
+    merge_lines(bm.col(r), bm.col(s), r, s, false, |a, b| {
         new_part += ll_term(b as f64, bm.d_out(a) as f64, d_in_merged);
     });
     old_part - new_part
+}
+
+/// Walk the key-wise sum of two sorted lines in ascending key order,
+/// calling `emit(key, count)`. Keys `r` and `s` are left out of the walk;
+/// with `fold_into_s` their combined mass is emitted at key `s`'s place in
+/// the order (the merged row), otherwise it is dropped (the merged column,
+/// whose `r`/`s` entries belong to the merged row).
+fn merge_lines(
+    a: &SparseRow,
+    b: &SparseRow,
+    r: Block,
+    s: Block,
+    fold_into_s: bool,
+    mut emit: impl FnMut(Block, Weight),
+) {
+    let mut folded = if fold_into_s {
+        a.get(r) + a.get(s) + b.get(r) + b.get(s)
+    } else {
+        0
+    };
+    let (ak, ac) = (a.keys(), a.counts());
+    let (bk, bc) = (b.keys(), b.counts());
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let t = match (ak.get(i), bk.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => break,
+        };
+        let mut count = 0;
+        if ak.get(i) == Some(&t) {
+            count += ac[i];
+            i += 1;
+        }
+        if bk.get(j) == Some(&t) {
+            count += bc[j];
+            j += 1;
+        }
+        if t == r || t == s {
+            continue;
+        }
+        if folded > 0 && s < t {
+            emit(s, folded);
+            folded = 0;
+        }
+        emit(t, count);
+    }
+    if folded > 0 {
+        emit(s, folded);
+    }
 }
 
 #[cfg(test)]
@@ -704,6 +642,72 @@ mod tests {
                 assert!(
                     (fast - slow).abs() <= 1e-9 * slow.abs().max(1.0),
                     "merge {r}->{s}"
+                );
+            }
+        }
+    }
+
+    /// The Hastings factor read straight off the pre- and post-move models:
+    /// the census in ascending block order, `B'` and `d'` from a clone with
+    /// the move applied.
+    fn reference_hastings(bm: &Blockmodel, v: Vertex, to: Block, counts: &NeighborCounts) -> f64 {
+        let from = bm.block_of(v);
+        let mut census = std::collections::BTreeMap::new();
+        for &(t, w) in counts.out_counts.iter().chain(&counts.in_counts) {
+            *census.entry(t).or_insert(0) += w;
+        }
+        if counts.self_loops > 0 {
+            *census.entry(from).or_insert(0) += 2 * counts.self_loops;
+        }
+        let mut moved = bm.clone();
+        moved.apply_move(v, from, to, counts);
+        let pair = |m: &Blockmodel, t: Block, target: Block| {
+            if t == target {
+                2 * m.edge_count(t, t)
+            } else {
+                m.edge_count(t, target) + m.edge_count(target, t)
+            }
+        };
+        let (c, k_v) = (bm.num_blocks() as f64, counts.degree() as f64);
+        let (mut p_fwd, mut p_bwd) = (0.0, 0.0);
+        for (&t, &k_t) in &census {
+            let k_t = k_t as f64;
+            p_fwd += k_t * (pair(bm, t, to) as f64 + 1.0) / (bm.d_total(t) as f64 + c);
+            p_bwd += k_t * (pair(&moved, t, from) as f64 + 1.0) / (moved.d_total(t) as f64 + c);
+        }
+        (p_bwd / k_v) / (p_fwd / k_v)
+    }
+
+    #[test]
+    fn hastings_matches_post_move_reference_bitwise() {
+        // Vertex 0 has only a self-loop and an edge into block 1; vertex 3
+        // has a self-loop plus edges both ways within its own block.
+        let g = Graph::from_edges(
+            6,
+            &[
+                (0, 0),
+                (0, 2),
+                (1, 2),
+                (2, 1),
+                (3, 3),
+                (3, 4),
+                (4, 3),
+                (5, 3),
+                (2, 5),
+            ],
+        );
+        let bm = Blockmodel::from_assignment(&g, vec![0, 0, 1, 2, 2, 1], 3);
+        for v in 0..6u32 {
+            let counts = NeighborCounts::gather(&g, &bm, v);
+            for to in 0..3u32 {
+                if to == bm.block_of(v) {
+                    continue;
+                }
+                let eval = evaluate_move(&bm, bm.block_of(v), to, &counts);
+                assert_eq!(
+                    eval.hastings.to_bits(),
+                    reference_hastings(&bm, v, to, &counts).to_bits(),
+                    "v={v} -> {to}"
                 );
             }
         }

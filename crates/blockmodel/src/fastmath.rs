@@ -1,13 +1,18 @@
-//! The delta-MDL term kernel.
+//! The delta-MDL term kernels.
 //!
-//! The per-proposal delta evaluation spends most of its time in
-//! `b·ln(b/(d_out·d_in))` terms over sparse B-matrix cells whose arguments
-//! are small integer counts. [`ll_term`] serves each `ln` from the
-//! precomputed table in [`hsbp_collections::fastmath`] and keeps the
-//! association of the libm reference [`crate::mdl::log_likelihood_term`].
+//! Delta evaluation spends its time in logarithms of small integer counts:
+//! B-matrix cells and block degrees. Both kernels serve each `ln` from the
+//! precomputed table in [`hsbp_collections::fastmath`]:
+//!
+//! * [`ll_term`] — `b·ln(b/(d_out·d_in))`, one cell's Eq.-1 term, for the
+//!   merge delta; it keeps the association of the libm reference
+//!   [`crate::mdl::log_likelihood_term`].
+//! * [`xlnx`] — `x·ln x`, one cell's or degree's term of the regrouped
+//!   Eq. 1 that the move delta sums over changed cells only.
+//!
 //! Table entries are computed with the same `f64::ln`, and non-integer or
-//! above-cap arguments fall back to libm, so the kernel is bit-identical to
-//! the reference: the table changes the *cost* of a term, not its value.
+//! above-cap arguments fall back to libm, so each kernel is bit-identical
+//! to its libm form: the table changes the *cost* of a term, not its value.
 
 use hsbp_collections::fastmath::ln_lookup;
 // The table itself lives in the bottom crate; re-exported so the bench and
@@ -27,6 +32,17 @@ pub fn ll_term(b: f64, d_out: f64, d_in: f64) -> f64 {
         );
         // Same association as the reference: b * (ln b - ln d_out - ln d_in).
         b * (ln_lookup(b) - ln_lookup(d_out) - ln_lookup(d_in))
+    }
+}
+
+/// `x·ln x` with the entropy convention (zero for `x <= 0`), the `ln`
+/// served from the table.
+#[inline]
+pub fn xlnx(x: f64) -> f64 {
+    if x <= 0.0 {
+        0.0
+    } else {
+        x * ln_lookup(x)
     }
 }
 
@@ -75,5 +91,20 @@ mod tests {
                 log_likelihood_term(b, o, i).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn xlnx_matches_libm_on_integer_counts_across_the_cap() {
+        let cap = TABLE_CAP as u64;
+        for x in (0..cap + 4096).chain([1 << 20, 1 << 24, 1 << 40]) {
+            let xf = x as f64;
+            let expected = if x == 0 { 0.0 } else { xf * xf.ln() };
+            assert_eq!(
+                xlnx(xf).to_bits(),
+                expected.to_bits(),
+                "xlnx diverged at {x}"
+            );
+        }
+        assert_eq!(xlnx(-2.0), 0.0);
     }
 }

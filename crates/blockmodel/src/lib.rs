@@ -10,11 +10,12 @@
 //! * [`mdl`] — Eqs. 1 and 2 of the paper: the DCSBM log-likelihood, the
 //!   minimum description length, and the structure-less null MDL used for
 //!   the paper's normalized-MDL metric,
-//! * [`delta`] — O(degree) computation of the MDL change for a proposed
-//!   vertex move or block merge, without mutating the model,
+//! * [`delta`] — the MDL change of a proposed vertex move (summed over the
+//!   cells it changes only) or block merge (a walk over the two merged
+//!   lines), without mutating the model,
 //! * [`propose`] — the Metropolis-Hastings proposal distribution over target
 //!   blocks and the Hastings correction factor,
-//! * [`fastmath`] — the delta-MDL term kernel, which serves `ln` of the
+//! * [`fastmath`] — the delta-MDL term kernels, which serve `ln` of the
 //!   integer counts that dominate the hot path from a precomputed table.
 //!
 //! The key invariant maintained everywhere: `rows[r]` and `cols[s]` are two
