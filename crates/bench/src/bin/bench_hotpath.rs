@@ -17,8 +17,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use hsbp_bench::hotpath::{
-    compare_reports, parse_json, run_report, CheckLine, HotpathSpec, FIVE_K, SMOKE, TWENTY_K,
+    compare_reports, run_report, CheckLine, HotpathSpec, FIVE_K, SMOKE, TWENTY_K,
 };
+use hsbp_collections::json;
 use std::process::ExitCode;
 
 /// Check mode re-measures on a transient regression: CI runners share CPUs,
@@ -107,7 +108,7 @@ fn run() -> Result<(), String> {
     if args.mode == "check" {
         let text = std::fs::read_to_string(&args.baseline)
             .map_err(|e| format!("cannot read baseline {}: {e}", args.baseline))?;
-        let baseline = parse_json(&text).map_err(|e| format!("baseline parse error: {e}"))?;
+        let baseline = json::parse(&text).map_err(|e| format!("baseline parse error: {e}"))?;
         // Best ratio per (graph, variant) across attempts: a variant passes
         // if *any* measurement window cleared the threshold.
         let mut best: Vec<CheckLine> = Vec::new();

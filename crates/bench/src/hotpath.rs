@@ -18,6 +18,7 @@
 //! real hot-path regressions.
 
 use hsbp_blockmodel::Blockmodel;
+use hsbp_collections::json::{num_u, obj, Json};
 use hsbp_collections::SplitMix64;
 use hsbp_core::{run_mcmc_phase, RunStats, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
@@ -335,387 +336,63 @@ pub fn run_report(mode: &str, specs: &[HotpathSpec]) -> HotpathReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl HotpathReport {
-    /// Serialise to pretty-printed JSON (hand-rolled; the build is
-    /// dependency-free by policy).
+    /// Serialise to the pretty-printed `BENCH_mcmc.json` layout.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"schema_version\": {BENCH_MCMC_SCHEMA_VERSION},\n"
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(&self.mode)));
-        s.push_str(&format!(
-            "  \"calibration_ops_per_s\": {},\n",
-            json_num(self.calibration_ops_per_s)
-        ));
-        s.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
-        s.push_str(&format!(
-            "  \"hsbp_threads_env\": {},\n",
-            self.hsbp_threads_env
-                .map_or_else(|| "null".to_string(), |t| t.to_string())
-        ));
-        s.push_str(&format!(
-            "  \"threads_swept\": [{}],\n",
-            self.threads_swept
-                .iter()
-                .map(usize::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  \"graphs\": [\n");
-        for (gi, g) in self.graphs.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&g.name)));
-            s.push_str(&format!("      \"vertices\": {},\n", g.vertices));
-            s.push_str(&format!("      \"edges\": {},\n", g.edges));
-            s.push_str("      \"variants\": [\n");
-            for (vi, v) in g.variants.iter().enumerate() {
-                s.push_str("        {\n");
-                s.push_str(&format!(
-                    "          \"variant\": \"{}\",\n",
-                    json_escape(&v.variant)
-                ));
-                s.push_str(&format!("          \"threads\": {},\n", v.threads));
-                s.push_str(&format!("          \"sweeps\": {},\n", v.sweeps));
-                s.push_str(&format!(
-                    "          \"elapsed_s\": {},\n",
-                    json_num(v.elapsed_s)
-                ));
-                s.push_str(&format!(
-                    "          \"sweeps_per_s\": {},\n",
-                    json_num(v.sweeps_per_s)
-                ));
-                s.push_str(&format!(
-                    "          \"proposals_per_s\": {},\n",
-                    json_num(v.proposals_per_s)
-                ));
-                s.push_str(&format!(
-                    "          \"acceptance_rate\": {},\n",
-                    json_num(v.acceptance_rate)
-                ));
-                s.push_str(&format!(
-                    "          \"consolidations_incremental\": {},\n",
-                    v.consolidations_incremental
-                ));
-                s.push_str(&format!(
-                    "          \"consolidations_rebuild\": {},\n",
-                    v.consolidations_rebuild
-                ));
-                s.push_str(&format!(
-                    "          \"consolidated_moves\": {},\n",
-                    v.consolidated_moves
-                ));
-                s.push_str(&format!(
-                    "          \"parallel_efficiency\": {},\n",
-                    json_num(v.parallel_efficiency)
-                ));
-                s.push_str(&format!(
-                    "          \"pool_sections\": {},\n",
-                    v.pool_sections
-                ));
-                s.push_str(&format!("          \"pool_steals\": {},\n", v.pool_steals));
-                s.push_str(&format!(
-                    "          \"pool_max_imbalance\": {},\n",
-                    json_num(v.pool_max_imbalance)
-                ));
-                s.push_str(&format!(
-                    "          \"pool_mean_imbalance\": {}\n",
-                    json_num(v.pool_mean_imbalance)
-                ));
-                s.push_str("        }");
-                s.push_str(if vi + 1 < g.variants.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            s.push_str("      ]\n");
-            s.push_str("    }");
-            s.push_str(if gi + 1 < self.graphs.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let num = |x: usize| num_u(x as u64);
+        let variant = |v: &VariantMeasurement| {
+            obj(vec![
+                ("variant", Json::Str(v.variant.clone())),
+                ("threads", num(v.threads)),
+                ("sweeps", num(v.sweeps)),
+                ("elapsed_s", Json::Num(v.elapsed_s)),
+                ("sweeps_per_s", Json::Num(v.sweeps_per_s)),
+                ("proposals_per_s", Json::Num(v.proposals_per_s)),
+                ("acceptance_rate", Json::Num(v.acceptance_rate)),
+                (
+                    "consolidations_incremental",
+                    num_u(v.consolidations_incremental),
+                ),
+                ("consolidations_rebuild", num_u(v.consolidations_rebuild)),
+                ("consolidated_moves", num_u(v.consolidated_moves)),
+                ("parallel_efficiency", Json::Num(v.parallel_efficiency)),
+                ("pool_sections", num_u(v.pool_sections)),
+                ("pool_steals", num_u(v.pool_steals)),
+                ("pool_max_imbalance", Json::Num(v.pool_max_imbalance)),
+                ("pool_mean_imbalance", Json::Num(v.pool_mean_imbalance)),
+            ])
+        };
+        let graph = |g: &GraphMeasurement| {
+            obj(vec![
+                ("name", Json::Str(g.name.clone())),
+                ("vertices", num(g.vertices)),
+                ("edges", num_u(g.edges)),
+                (
+                    "variants",
+                    Json::Arr(g.variants.iter().map(variant).collect()),
+                ),
+            ])
+        };
+        obj(vec![
+            ("schema_version", num_u(BENCH_MCMC_SCHEMA_VERSION.into())),
+            ("mode", Json::Str(self.mode.clone())),
+            (
+                "calibration_ops_per_s",
+                Json::Num(self.calibration_ops_per_s),
+            ),
+            ("host_parallelism", num(self.host_parallelism)),
+            (
+                "hsbp_threads_env",
+                self.hsbp_threads_env.map_or(Json::Null, num),
+            ),
+            (
+                "threads_swept",
+                Json::Arr(self.threads_swept.iter().copied().map(num).collect()),
+            ),
+            ("graphs", Json::Arr(self.graphs.iter().map(graph).collect())),
+        ])
+        .to_pretty()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for check mode (only what the baseline file needs).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (subset sufficient for `BENCH_mcmc.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array items, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of JSON".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| "non-utf8 \\u escape".to_string())?,
-                                16,
-                            )
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                other => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        let len = match other {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let start = self.pos - 1;
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or_else(|| "truncated utf8 sequence".to_string())?;
-                        out.push_str(
-                            std::str::from_utf8(chunk)
-                                .map_err(|_| "invalid utf8 in string".to_string())?,
-                        );
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']' got '{}'", other as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => return Err(format!("expected ',' or '}}' got '{}'", other as char)),
-            }
-        }
-    }
-}
-
-/// Parse a JSON document (subset: no surrogate-pair \u escapes).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
 }
 
 /// One check-mode comparison line.
@@ -810,6 +487,7 @@ pub fn compare_reports(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use hsbp_collections::json::parse;
 
     #[test]
     fn json_roundtrip_of_report() {
@@ -842,7 +520,7 @@ mod tests {
                 }],
             }],
         };
-        let parsed = parse_json(&report.to_json()).unwrap();
+        let parsed = parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("mode").and_then(Json::as_str), Some("smoke"));
         assert_eq!(
             parsed.get("schema_version").and_then(Json::as_f64),
@@ -893,27 +571,8 @@ mod tests {
             threads_swept: vec![1],
             graphs: vec![],
         };
-        let parsed = parse_json(&report.to_json()).unwrap();
+        let parsed = parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("hsbp_threads_env"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_escapes() {
-        let doc = r#"{"a": [1, -2.5e3, "x\ny\"z"], "b": {"c": true, "d": null}}"#;
-        let v = parse_json(doc).unwrap();
-        let a = v.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2].as_str(), Some("x\ny\"z"));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("\"unterminated").is_err());
     }
 
     fn measurement(variant: &str, threads: usize, tp: f64) -> VariantMeasurement {
@@ -955,7 +614,7 @@ mod tests {
     #[test]
     fn check_flags_regressions_and_normalises_machine_speed() {
         let baseline = one_line_report("g", "SBP", 100.0, 1e8);
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
 
         // Same normalised speed on a machine 2x faster: not a regression.
         let same = one_line_report("g", "SBP", 200.0, 2e8);
@@ -978,7 +637,7 @@ mod tests {
     #[test]
     fn check_skips_unmatched_graphs() {
         let baseline = one_line_report("other_graph", "SBP", 100.0, 1e8);
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
         let current = one_line_report("g", "SBP", 10.0, 1e8);
         let lines = compare_reports(&current, &base_json, 0.15).unwrap();
         assert!(lines.is_empty());
@@ -992,7 +651,7 @@ mod tests {
         baseline.graphs[0]
             .variants
             .push(measurement("A-SBP", 4, 300.0));
-        let base_json = parse_json(&baseline.to_json()).unwrap();
+        let base_json = parse(&baseline.to_json()).unwrap();
 
         let mut current = one_line_report("g", "A-SBP", 100.0, 1e8);
         current.graphs[0]
@@ -1013,7 +672,7 @@ mod tests {
             &format!("\"schema_version\": {BENCH_MCMC_SCHEMA_VERSION}"),
             "\"schema_version\": 3",
         );
-        assert!(compare_reports(&report, &parse_json(&old).unwrap(), 0.15).is_err());
+        assert!(compare_reports(&report, &parse(&old).unwrap(), 0.15).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! Every run is a pure function of `(spec, plan)`; results land in
 //! `BENCH_shard.json` (`schema_version` = [`BENCH_SHARD_SCHEMA_VERSION`]).
 
+use hsbp_collections::json::{num_u, obj, Json};
 use hsbp_core::SbpConfig;
 use hsbp_generator::{generate, DcsbmConfig};
 use hsbp_graph::Graph;
@@ -290,77 +291,46 @@ pub fn run_shard_bench(spec: &ShardBenchSpec) -> Result<ShardReport, String> {
     })
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
 impl ShardReport {
-    /// Serialise to pretty-printed JSON (hand-rolled; the build is
-    /// dependency-free by policy).
+    /// Serialise to the pretty-printed `BENCH_shard.json` layout.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"schema_version\": {BENCH_SHARD_SCHEMA_VERSION},\n"
-        ));
-        s.push_str(&format!(
-            "  \"sync_protocol_version\": {},\n",
-            hsbp_shard::SYNC_PROTOCOL_VERSION
-        ));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"vertices\": {},\n", self.vertices));
-        s.push_str(&format!("  \"edges\": {},\n", self.edges));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"family\": \"{}\",\n", r.family));
-            s.push_str(&format!("      \"label\": \"{}\",\n", r.label));
-            s.push_str(&format!("      \"shards\": {},\n", r.shards));
-            s.push_str(&format!("      \"sync_every\": {},\n", r.sync_every));
-            s.push_str(&format!("      \"plan\": \"{}\",\n", r.plan));
-            s.push_str(&format!("      \"rounds\": {},\n", r.rounds));
-            s.push_str(&format!("      \"messages\": {},\n", r.messages));
-            s.push_str(&format!("      \"bytes\": {},\n", r.bytes));
-            s.push_str(&format!(
-                "      \"bytes_per_round\": {},\n",
-                json_num(r.bytes_per_round)
-            ));
-            s.push_str(&format!("      \"retransmits\": {},\n", r.retransmits));
-            s.push_str(&format!("      \"nacks\": {},\n", r.nacks));
-            s.push_str(&format!("      \"resyncs\": {},\n", r.resyncs));
-            s.push_str(&format!(
-                "      \"comm_cost\": {},\n",
-                json_num(r.comm_cost)
-            ));
-            s.push_str(&format!(
-                "      \"compute_cost\": {},\n",
-                json_num(r.compute_cost)
-            ));
-            s.push_str(&format!(
-                "      \"comm_fraction\": {},\n",
-                json_num(r.comm_fraction)
-            ));
-            s.push_str(&format!("      \"mdl\": {},\n", json_num(r.mdl)));
-            s.push_str(&format!("      \"num_blocks\": {},\n", r.num_blocks));
-            s.push_str(&format!(
-                "      \"nmi_vs_clean\": {},\n",
-                json_num(r.nmi_vs_clean)
-            ));
-            s.push_str(&format!("      \"dead_shards\": {}\n", r.dead_shards));
-            s.push_str(if i + 1 == self.rows.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
+        let num = |x: usize| num_u(x as u64);
+        let row = |r: &ShardRow| {
+            obj(vec![
+                ("family", Json::Str(r.family.into())),
+                ("label", Json::Str(r.label.clone())),
+                ("shards", num(r.shards)),
+                ("sync_every", num(r.sync_every)),
+                ("plan", Json::Str(r.plan.clone())),
+                ("rounds", num(r.rounds)),
+                ("messages", num_u(r.messages)),
+                ("bytes", num_u(r.bytes)),
+                ("bytes_per_round", Json::Num(r.bytes_per_round)),
+                ("retransmits", num_u(r.retransmits)),
+                ("nacks", num_u(r.nacks)),
+                ("resyncs", num_u(r.resyncs)),
+                ("comm_cost", Json::Num(r.comm_cost)),
+                ("compute_cost", Json::Num(r.compute_cost)),
+                ("comm_fraction", Json::Num(r.comm_fraction)),
+                ("mdl", Json::Num(r.mdl)),
+                ("num_blocks", num(r.num_blocks)),
+                ("nmi_vs_clean", Json::Num(r.nmi_vs_clean)),
+                ("dead_shards", num(r.dead_shards)),
+            ])
+        };
+        obj(vec![
+            ("schema_version", num_u(BENCH_SHARD_SCHEMA_VERSION.into())),
+            (
+                "sync_protocol_version",
+                num_u(hsbp_shard::SYNC_PROTOCOL_VERSION.into()),
+            ),
+            ("mode", Json::Str(self.mode.clone())),
+            ("vertices", num_u(self.vertices.into())),
+            ("edges", num(self.edges)),
+            ("seed", num_u(self.seed)),
+            ("rows", Json::Arr(self.rows.iter().map(row).collect())),
+        ])
+        .to_pretty()
     }
 }
 
@@ -407,14 +377,16 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains(&format!("\"schema_version\": {BENCH_SHARD_SCHEMA_VERSION}")));
-        assert!(json.contains("\"bytes_per_round\": 400.0"));
-        assert!(json.contains("\"nmi_vs_clean\": 1.0"));
-        // Balanced braces / brackets — cheap structural sanity without a parser.
+        // Integral values print as integers, the rule the serve wire uses.
+        assert!(json.contains("\"bytes_per_round\": 400,"));
+        assert!(json.contains("\"nmi_vs_clean\": 1,"));
+        let parsed = hsbp_collections::json::parse(&json).unwrap();
+        let row = &parsed.get("rows").and_then(Json::as_arr).unwrap()[0];
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON"
+            row.get("bytes_per_round").and_then(Json::as_f64),
+            Some(400.0)
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(row.get("mdl").and_then(Json::as_f64), Some(19000.5));
+        assert_eq!(row.get("nmi_vs_clean").and_then(Json::as_f64), Some(1.0));
     }
 }

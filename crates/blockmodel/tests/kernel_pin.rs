@@ -16,6 +16,7 @@ use hsbp_blockmodel::fastmath::TABLE_CAP;
 use hsbp_blockmodel::{
     delta_mdl_merge_with, evaluate_move_with, mdl, Block, Blockmodel, NeighborCounts, ProposalArena,
 };
+use hsbp_collections::fnv::Fnv1a;
 use hsbp_collections::SplitMix64;
 use hsbp_graph::{Graph, GraphBuilder, Vertex};
 
@@ -75,15 +76,6 @@ fn assignment(k: usize) -> Vec<Block> {
         .collect()
 }
 
-fn fnv1a(hash: &mut u64, bits: u64) {
-    for byte in bits.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// What one sweep over every `(v, to)` covered, so the pins provably reach
 /// the corner cases.
 #[derive(Default)]
@@ -120,7 +112,7 @@ fn brute_force_delta(bm: &Blockmodel, moved: &Blockmodel) -> f64 {
 /// delta against the brute-force likelihood difference.
 fn pin_moves(graph: &Graph, bm: &Blockmodel, cov: &mut Coverage) -> u64 {
     let mut arena = ProposalArena::default();
-    let mut hash = FNV_OFFSET;
+    let mut hash = Fnv1a::new();
     for v in 0..N as Vertex {
         NeighborCounts::gather_into(
             graph,
@@ -132,7 +124,7 @@ fn pin_moves(graph: &Graph, bm: &Blockmodel, cov: &mut Coverage) -> u64 {
         let from = bm.block_of(v);
         for to in 0..bm.num_blocks() as Block {
             let eval = evaluate_move_with(bm, from, to, &arena.counts, &mut arena.eval);
-            fnv1a(&mut hash, eval.hastings.to_bits());
+            hash.bytes(&eval.hastings.to_bits().to_le_bytes());
             if to == from {
                 continue;
             }
@@ -164,22 +156,20 @@ fn pin_moves(graph: &Graph, bm: &Blockmodel, cov: &mut Coverage) -> u64 {
             cov.past_cap += usize::from(heavy(from) || heavy(to));
         }
     }
-    hash
+    hash.finish()
 }
 
 /// FNV-1a over the merge delta bits of every ordered `(r, s)`.
 fn pin_merges(bm: &Blockmodel) -> u64 {
     let mut arena = ProposalArena::default();
-    let mut hash = FNV_OFFSET;
+    let mut hash = Fnv1a::new();
     for r in 0..bm.num_blocks() as Block {
         for s in 0..bm.num_blocks() as Block {
-            fnv1a(
-                &mut hash,
-                delta_mdl_merge_with(bm, r, s, &mut arena.eval).to_bits(),
-            );
+            let delta = delta_mdl_merge_with(bm, r, s, &mut arena.eval);
+            hash.bytes(&delta.to_bits().to_le_bytes());
         }
     }
-    hash
+    hash.finish()
 }
 
 fn check(k: usize, hastings_pin: u64, merge_pin: u64) {

@@ -1,4 +1,5 @@
-//! Fast, dependency-light container and sampling primitives used across hsbp.
+//! Fast, dependency-light container and sampling primitives used across
+//! hsbp, plus the one wire and persistence substrate every crate shares.
 //!
 //! The blockmodel inner loops are dominated by hash-map lookups keyed by small
 //! integers (block ids) and by weighted discrete sampling (choosing a
@@ -17,9 +18,23 @@
 //!   matrix `B` (sorted-vector representation: canonical and deterministic),
 //! * [`scratch`] — epoch-stamped reusable counters so the per-proposal hot
 //!   path performs zero heap allocations in steady state.
+//!
+//! The wire and persistence primitives are dependency-free and each exists
+//! once in the workspace:
+//!
+//! * [`fnv`] — FNV-1a, the checksum and fingerprint hash,
+//! * [`record`] — the `[u32 len][u64 seq][u64 fnv1a][payload]` record frame
+//!   of the serve WAL and the shard sync channel, plus a little-endian
+//!   [`record::ByteReader`],
+//! * [`json`] — the JSON codec of the serve protocol and the bench reports,
+//! * [`directive`] — the `VERB:ARG,...` tokenizer behind every fault plan.
 
+pub mod directive;
 pub mod fastmath;
+pub mod fnv;
 pub mod hash;
+pub mod json;
+pub mod record;
 pub mod sample;
 pub mod scratch;
 pub mod sparse;

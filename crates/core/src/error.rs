@@ -5,8 +5,14 @@
 //! the CLI in particular — can map failures to diagnostics and exit codes
 //! without unwinding. Algorithm internals keep their panics: an inconsistent
 //! blockmodel mid-sweep is a bug, not an input problem.
+//!
+//! [`atomic_write`] lives here too: every file the workspace persists
+//! (checkpoint and serve-state files, the rewritten WAL) goes through it
+//! and reports failures as the caller's `HsbpError` variant.
 
 use hsbp_graph::io::IoError;
+use std::io::Write;
+use std::path::Path;
 
 /// Recoverable failure of an SBP pipeline entry point.
 #[derive(Debug)]
@@ -171,6 +177,32 @@ impl HsbpError {
             other => other,
         }
     }
+}
+
+/// Write `bytes` to `path` through a temporary sibling (`path` with the
+/// extension `tmp`) that is renamed into place, so readers never observe a
+/// half-written file. `sync` fsyncs the temporary file before the rename.
+/// `before_rename` runs between the write and the rename; returning `false`
+/// skips the rename, as a crash at that point would (a fault-injection
+/// hook; pass `|| true` otherwise). `err` builds the caller's error from
+/// the failing path and a message.
+pub fn atomic_write(
+    path: &Path,
+    bytes: &[u8],
+    sync: bool,
+    before_rename: impl FnOnce() -> bool,
+    err: impl Fn(&Path, String) -> HsbpError,
+) -> Result<(), HsbpError> {
+    let tmp = path.with_extension("tmp");
+    let mut file = std::fs::File::create(&tmp).map_err(|e| err(&tmp, format!("create: {e}")))?;
+    file.write_all(bytes)
+        .and_then(|()| if sync { file.sync_all() } else { Ok(()) })
+        .map_err(|e| err(&tmp, format!("write: {e}")))?;
+    drop(file);
+    if !before_rename() {
+        return Ok(());
+    }
+    std::fs::rename(&tmp, path).map_err(|e| err(path, format!("rename: {e}")))
 }
 
 #[cfg(test)]

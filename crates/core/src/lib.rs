@@ -52,7 +52,7 @@ pub mod stats;
 pub use budget::{CancelToken, RunBudget, RunControl, StopCause};
 pub use config::{Consolidation, SbpConfig, Variant};
 pub use driver::{run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
-pub use error::HsbpError;
+pub use error::{atomic_write, HsbpError};
 pub use influence::{asbp_convergence_risk, degree_concentration, degree_gini, AsbpRisk};
 pub use mcmc::{run_mcmc_phase, run_mcmc_phase_controlled, serial_mh, McmcOutcome, SerialPass};
 pub use merge::{merge_phase, merge_phase_controlled, MergeOutcome};

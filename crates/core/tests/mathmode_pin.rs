@@ -7,24 +7,19 @@
 //! dirty-region refinement pins were captured before `refine_partition`'s
 //! resweep moved onto the shared serial Metropolis-Hastings kernel.
 
+use hsbp_collections::fnv::Fnv1a;
 use hsbp_core::{refine_partition, run_sbp_budgeted, CancelToken, RunBudget, SbpConfig, Variant};
 use hsbp_generator::{generate, DcsbmConfig};
 use hsbp_graph::{GraphBuilder, Vertex};
 
 /// FNV-1a over the assignment labels plus the block count.
 fn fingerprint(assignment: &[u32], num_blocks: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |w: u64| {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(num_blocks as u64);
+    let mut h = Fnv1a::new();
+    h.bytes(&(num_blocks as u64).to_le_bytes());
     for &a in assignment {
-        eat(u64::from(a));
+        h.bytes(&u64::from(a).to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn pin_case(variant: Variant, threads: usize, truncated: bool) -> (u64, u64) {

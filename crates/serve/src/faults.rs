@@ -2,7 +2,8 @@
 //! shard fault-plan idea extended to the daemon, so crash recovery is
 //! tested by plan, not by luck.
 //!
-//! Grammar (comma-separated actions, each at most once):
+//! Grammar (comma-separated actions, each at most once, tokenized by the
+//! shared [`hsbp_collections::directive`] grammar):
 //!
 //! ```text
 //! crash-after-wal:SEQ        crash right after the WAL append for batch SEQ
@@ -24,6 +25,7 @@
 //! the clean-shutdown snapshot, exactly the state a hard kill leaves on
 //! disk.
 
+use hsbp_collections::directive;
 use std::fmt;
 
 /// One parsed serve fault plan. The empty plan injects nothing.
@@ -54,37 +56,31 @@ impl ServeFaultPlan {
     /// and malformed numbers are rejected.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = Self::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (action, value) = part
-                .split_once(':')
-                .ok_or_else(|| format!("`{part}`: expected `action:value`"))?;
+        for d in directive::parse(spec, "`action:value`")? {
+            let part = d.text;
             let parse_u64 = |text: &str, what: &str| -> Result<u64, String> {
                 text.trim()
                     .parse()
                     .map_err(|_| format!("`{part}`: {what} must be a non-negative integer"))
             };
-            match action.trim() {
+            match d.verb {
                 "crash-after-wal" => {
                     if plan.crash_after_wal.is_some() {
                         return Err(format!("`{part}`: duplicate crash-after-wal"));
                     }
-                    plan.crash_after_wal = Some(parse_u64(value, "SEQ")?);
+                    plan.crash_after_wal = Some(parse_u64(d.arg, "SEQ")?);
                 }
                 "torn-write" => {
                     if plan.torn_write.is_some() {
                         return Err(format!("`{part}`: duplicate torn-write"));
                     }
-                    plan.torn_write = Some(parse_u64(value, "SEQ")?);
+                    plan.torn_write = Some(parse_u64(d.arg, "SEQ")?);
                 }
                 "crash-before-rename" => {
                     if plan.crash_before_rename.is_some() {
                         return Err(format!("`{part}`: duplicate crash-before-rename"));
                     }
-                    let nth = parse_u64(value, "NTH")?;
+                    let nth = parse_u64(d.arg, "NTH")?;
                     if nth == 0 {
                         return Err(format!("`{part}`: NTH is 1-based"));
                     }
@@ -94,7 +90,8 @@ impl ServeFaultPlan {
                     if plan.slow_apply.is_some() {
                         return Err(format!("`{part}`: duplicate slow-apply"));
                     }
-                    let (seq, ms) = value
+                    let (seq, ms) = d
+                        .arg
                         .split_once('=')
                         .ok_or_else(|| format!("`{part}`: expected slow-apply:SEQ=MS"))?;
                     plan.slow_apply = Some((parse_u64(seq, "SEQ")?, parse_u64(ms, "MS")?));

@@ -37,7 +37,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod faults;
-pub mod json;
+pub use hsbp_collections::json;
 pub mod mutlog;
 pub mod protocol;
 pub mod recover;

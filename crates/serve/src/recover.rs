@@ -1,8 +1,8 @@
 //! Snapshot persistence and warm restart for the daemon.
 //!
-//! A serve state directory follows the PR 2 checkpoint run-dir pattern —
-//! plain text files, written to a temporary sibling and atomically renamed
-//! into place, with a `meta.txt` pinning the run identity:
+//! A serve state directory follows the shard checkpoint run-dir pattern —
+//! plain text files, written through [`hsbp_core::atomic_write`] (temporary
+//! sibling, fsync, rename), with a `meta.txt` pinning the run identity:
 //!
 //! ```text
 //! state-dir/
@@ -22,9 +22,8 @@
 use crate::state::{EvolvingGraph, Mutation, Snapshot};
 use crate::wal;
 use hsbp_blockmodel::Block;
-use hsbp_core::{HsbpError, SbpConfig};
+use hsbp_core::{atomic_write, HsbpError, SbpConfig};
 use hsbp_graph::{Vertex, Weight};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const META_FILE: &str = "meta.txt";
@@ -37,19 +36,6 @@ fn state_err(path: &Path, message: impl Into<String>) -> HsbpError {
         path: path.display().to_string(),
         message: message.into(),
     }
-}
-
-/// Write `content` to `path` via a temporary sibling + fsync + rename, so
-/// a kill mid-write never leaves a torn file where readers look.
-fn write_atomic(path: &Path, content: &str) -> Result<(), HsbpError> {
-    let tmp = path.with_extension("tmp");
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| state_err(&tmp, format!("create: {e}")))?;
-    file.write_all(content.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| state_err(&tmp, format!("write: {e}")))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| state_err(path, format!("rename: {e}")))
 }
 
 /// The snapshot state loaded back from disk.
@@ -121,7 +107,7 @@ impl StateDir {
             }
         } else {
             std::fs::create_dir_all(&dir).map_err(|e| state_err(&dir, format!("create: {e}")))?;
-            write_atomic(&meta_path, &expected)?;
+            atomic_write(&meta_path, expected.as_bytes(), true, || true, state_err)?;
         }
         Ok(Self { dir })
     }
@@ -151,7 +137,6 @@ impl StateDir {
         snapshot: &Snapshot,
         before_rename: impl FnOnce() -> bool,
     ) -> Result<(), HsbpError> {
-        let path = self.snapshot_path();
         let mut content = String::new();
         content.push_str("hsbp-serve-snapshot v1\n");
         content.push_str(&format!("epoch {}\n", snapshot.epoch));
@@ -172,18 +157,13 @@ impl StateDir {
         for (u, v, w) in edges {
             content.push_str(&format!("{u} {v} {w}\n"));
         }
-
-        let tmp = path.with_extension("tmp");
-        let mut file =
-            std::fs::File::create(&tmp).map_err(|e| state_err(&tmp, format!("create: {e}")))?;
-        file.write_all(content.as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| state_err(&tmp, format!("write: {e}")))?;
-        drop(file);
-        if !before_rename() {
-            return Ok(()); // injected crash: the rename never happens
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| state_err(&path, format!("rename: {e}")))
+        atomic_write(
+            &self.snapshot_path(),
+            content.as_bytes(),
+            true,
+            before_rename,
+            state_err,
+        )
     }
 
     /// Load the persisted snapshot, or `None` when the directory has never

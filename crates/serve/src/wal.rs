@@ -10,7 +10,8 @@
 //! record*  where record = [u32 payload_len][u64 seq][u64 fnv1a(payload)][payload]
 //! ```
 //!
-//! All integers are little-endian. The payload encodes one mutation batch
+//! Records use the workspace's shared frame ([`hsbp_collections::record`]);
+//! all integers are little-endian. The payload encodes one mutation batch
 //! (`u32` count, then one tagged entry per [`Mutation`]). Replay walks the
 //! records front to back and stops at the first torn or corrupt one: a
 //! record is either applied whole or not at all, and a kill mid-append
@@ -19,7 +20,8 @@
 //! appends extend a clean log.
 
 use crate::state::Mutation;
-use hsbp_core::HsbpError;
+use hsbp_collections::record::{frame, read_frame, ByteReader};
+use hsbp_core::{atomic_write, HsbpError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -72,16 +74,6 @@ fn wal_err(path: &Path, message: impl Into<String>) -> HsbpError {
     }
 }
 
-/// FNV-1a over the payload bytes — the record checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Encode one batch into a payload (count-prefixed tagged entries).
 pub(crate) fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + batch.len() * 17);
@@ -115,50 +107,29 @@ pub(crate) fn encode_batch(batch: &[Mutation]) -> Vec<u8> {
 /// Decode one payload back into a batch. `None` on any truncation or an
 /// unknown tag — the caller treats the whole record as torn.
 pub(crate) fn decode_batch(payload: &[u8]) -> Option<Vec<Mutation>> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let slice = payload.get(*pos..*pos + n)?;
-        *pos += n;
-        Some(slice)
-    };
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
+    let mut r = ByteReader::new(payload);
+    let count = r.u32()? as usize;
     let mut batch = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let tag = *take(&mut pos, 1)?.first()?;
-        let m = match tag {
+        let m = match r.u8()? {
             0 => Mutation::AddEdge {
-                from: u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?),
-                to: u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?),
-                weight: u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?),
+                from: r.u32()?,
+                to: r.u32()?,
+                weight: r.u64()?,
             },
             1 => Mutation::RemoveEdge {
-                from: u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?),
-                to: u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?),
+                from: r.u32()?,
+                to: r.u32()?,
             },
             2 => Mutation::AddVertices {
-                count: u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?) as usize,
+                count: r.u64()? as usize,
             },
-            3 => Mutation::RemoveVertex {
-                vertex: u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?),
-            },
+            3 => Mutation::RemoveVertex { vertex: r.u32()? },
             _ => return None,
         };
         batch.push(m);
     }
-    if pos != payload.len() {
-        return None;
-    }
-    Some(batch)
-}
-
-/// One record's framing bytes (everything before the payload).
-fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    r.is_done().then_some(batch)
 }
 
 /// Everything replay learned from a WAL file.
@@ -202,27 +173,16 @@ pub fn replay(path: &Path) -> Result<WalReplay, HsbpError> {
     let mut pos = WAL_MAGIC.len();
     let mut torn_tail = false;
     while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + 20) else {
+        let Ok((seq, payload, used)) = read_frame(&bytes[pos..]) else {
             torn_tail = true;
             break;
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap_or([0; 4])) as usize;
-        let seq = u64::from_le_bytes(header[4..12].try_into().unwrap_or([0; 8]));
-        let sum = u64::from_le_bytes(header[12..20].try_into().unwrap_or([0; 8]));
-        let Some(payload) = bytes.get(pos + 20..pos + 20 + len) else {
-            torn_tail = true;
-            break;
-        };
-        if checksum(payload) != sum {
-            torn_tail = true;
-            break;
-        }
         let Some(batch) = decode_batch(payload) else {
             torn_tail = true;
             break;
         };
         records.push((seq, batch));
-        pos += 20 + len;
+        pos += used;
     }
     Ok(WalReplay {
         records,
@@ -332,39 +292,33 @@ impl Wal {
     }
 
     /// Drop every record with `seq <= upto` (they are covered by a
-    /// persisted snapshot): surviving tail records are rewritten into a
-    /// temporary sibling which is atomically renamed over the log.
+    /// persisted snapshot): surviving tail records are rewritten through
+    /// [`atomic_write`] (fsynced unless the policy is `Never`).
     pub fn truncate_to(&mut self, upto: u64) -> Result<(), HsbpError> {
         self.file
             .flush()
             .map_err(|e| wal_err(&self.path, format!("flush: {e}")))?;
         let replayed = replay(&self.path)?;
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut out = File::create(&tmp).map_err(|e| wal_err(&tmp, format!("create: {e}")))?;
-            out.write_all(WAL_MAGIC)
-                .map_err(|e| wal_err(&tmp, format!("write magic: {e}")))?;
-            for (seq, batch) in &replayed.records {
-                if *seq > upto {
-                    out.write_all(&frame(*seq, &encode_batch(batch)))
-                        .map_err(|e| wal_err(&tmp, format!("rewrite seq {seq}: {e}")))?;
-                }
-            }
-            if self.policy != FsyncPolicy::Never {
-                out.sync_data()
-                    .map_err(|e| wal_err(&tmp, format!("sync: {e}")))?;
+        let mut bytes = WAL_MAGIC.to_vec();
+        for (seq, batch) in &replayed.records {
+            if *seq > upto {
+                bytes.extend_from_slice(&frame(*seq, &encode_batch(batch)));
             }
         }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| wal_err(&self.path, format!("rename: {e}")))?;
+        atomic_write(
+            &self.path,
+            &bytes,
+            self.policy != FsyncPolicy::Never,
+            || true,
+            wal_err,
+        )?;
         // Reopen the renamed file for future appends.
-        let reopened = replay(&self.path)?;
         let file = OpenOptions::new()
             .write(true)
             .open(&self.path)
             .map_err(|e| wal_err(&self.path, format!("reopen: {e}")))?;
         self.file = file;
-        self.bytes = reopened.good_bytes.max(WAL_MAGIC.len() as u64);
+        self.bytes = bytes.len() as u64;
         self.file
             .seek(SeekFrom::Start(self.bytes))
             .map_err(|e| wal_err(&self.path, format!("seek: {e}")))?;

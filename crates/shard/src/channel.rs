@@ -4,7 +4,8 @@
 //!
 //! ## Wire format
 //!
-//! Every message reuses the WAL record framing (PR 7's `hsbp-serve` log):
+//! Every message is one record of the frame the `hsbp-serve` WAL also uses
+//! ([`hsbp_collections::record`]):
 //!
 //! ```text
 //! [u32 payload_len][u64 seq][u64 fnv1a(payload)][payload]      little-endian
@@ -31,7 +32,8 @@
 //! splitmix mixing — the same plan against the same run is bit-for-bit
 //! reproducible regardless of thread scheduling, and a retransmitted
 //! message (`attempt + 1`) re-rolls its fate independently. The CLI grammar
-//! (`--net-fault-plan`) is a comma-separated list of directives:
+//! (`--net-fault-plan`) is a comma-separated list of directives, tokenized
+//! by the shared [`hsbp_collections::directive`] grammar:
 //!
 //! ```text
 //! seed:N            seed for the per-message fault draws (default 0)
@@ -45,6 +47,9 @@
 //! ```
 
 use hsbp_blockmodel::{Block, Blockmodel};
+use hsbp_collections::directive::{self, Directive};
+use hsbp_collections::fnv::Fnv1a;
+use hsbp_collections::record::{self, ByteReader, FrameError};
 use hsbp_collections::sample::mix_words;
 use hsbp_graph::Vertex;
 use hsbp_timing::CostModel;
@@ -54,18 +59,7 @@ use hsbp_timing::CostModel;
 /// to the message layout or the retransmit/resync semantics.
 pub const SYNC_PROTOCOL_VERSION: u32 = 1;
 
-/// Bytes of the record header: `[u32 len][u64 seq][u64 checksum]`.
-pub const HEADER_LEN: usize = 4 + 8 + 8;
-
-/// FNV-1a over `bytes` (same constants as the serve WAL).
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use hsbp_collections::record::HEADER_LEN;
 
 /// One decoded sync-protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,55 +121,11 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self.bytes.get(self.pos).ok_or(DecodeError::Malformed)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let end = self.pos + 4;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(DecodeError::Malformed)?;
-        self.pos = end;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(slice);
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let end = self.pos + 8;
-        let slice = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(DecodeError::Malformed)?;
-        self.pos = end;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(slice);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn done(&self) -> Result<(), DecodeError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Malformed)
+impl From<FrameError> for DecodeError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => DecodeError::Truncated,
+            FrameError::BadChecksum => DecodeError::BadChecksum,
         }
     }
 }
@@ -186,11 +136,11 @@ pub fn encode_msg(seq: u64, payload: &SyncPayload) -> Vec<u8> {
     match payload {
         SyncPayload::Delta { shard, moves } => {
             body.push(1u8);
-            put_u32(&mut body, *shard);
-            put_u32(&mut body, moves.len() as u32);
+            body.extend_from_slice(&shard.to_le_bytes());
+            body.extend_from_slice(&(moves.len() as u32).to_le_bytes());
             for &(v, b) in moves {
-                put_u32(&mut body, v);
-                put_u32(&mut body, b);
+                body.extend_from_slice(&v.to_le_bytes());
+                body.extend_from_slice(&b.to_le_bytes());
             }
         }
         SyncPayload::Nack {
@@ -199,93 +149,71 @@ pub fn encode_msg(seq: u64, payload: &SyncPayload) -> Vec<u8> {
             missing_seq,
         } => {
             body.push(2u8);
-            put_u32(&mut body, *shard);
-            put_u32(&mut body, *missing_from);
-            put_u64(&mut body, *missing_seq);
+            body.extend_from_slice(&shard.to_le_bytes());
+            body.extend_from_slice(&missing_from.to_le_bytes());
+            body.extend_from_slice(&missing_seq.to_le_bytes());
         }
         SyncPayload::Digest { shard, digest } => {
             body.push(3u8);
-            put_u32(&mut body, *shard);
-            put_u64(&mut body, *digest);
+            body.extend_from_slice(&shard.to_le_bytes());
+            body.extend_from_slice(&digest.to_le_bytes());
         }
         SyncPayload::Resync {
             num_blocks,
             assignment,
         } => {
             body.push(4u8);
-            put_u32(&mut body, *num_blocks);
-            put_u32(&mut body, assignment.len() as u32);
+            body.extend_from_slice(&num_blocks.to_le_bytes());
+            body.extend_from_slice(&(assignment.len() as u32).to_le_bytes());
             for &b in assignment {
-                put_u32(&mut body, b);
+                body.extend_from_slice(&b.to_le_bytes());
             }
         }
     }
-    let mut frame = Vec::with_capacity(HEADER_LEN + body.len());
-    put_u32(&mut frame, body.len() as u32);
-    put_u64(&mut frame, seq);
-    put_u64(&mut frame, checksum(&body));
-    frame.extend_from_slice(&body);
-    frame
+    record::frame(seq, &body)
 }
 
 /// Decode one framed wire message into `(seq, payload)`.
 pub fn decode_msg(frame: &[u8]) -> Result<(u64, SyncPayload), DecodeError> {
-    if frame.len() < HEADER_LEN {
-        return Err(DecodeError::Truncated);
+    use DecodeError::Malformed;
+    let (seq, body, used) = record::read_frame(frame)?;
+    if used != frame.len() {
+        return Err(Malformed);
     }
-    let mut header = Reader {
-        bytes: &frame[..HEADER_LEN],
-        pos: 0,
-    };
-    let len = header.u32().map_err(|_| DecodeError::Truncated)? as usize;
-    let seq = header.u64().map_err(|_| DecodeError::Truncated)?;
-    let sum = header.u64().map_err(|_| DecodeError::Truncated)?;
-    let body = frame
-        .get(HEADER_LEN..HEADER_LEN + len)
-        .ok_or(DecodeError::Truncated)?;
-    if frame.len() != HEADER_LEN + len {
-        return Err(DecodeError::Malformed);
-    }
-    if checksum(body) != sum {
-        return Err(DecodeError::BadChecksum);
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    let payload = match r.u8().map_err(|_| DecodeError::Malformed)? {
+    let mut r = ByteReader::new(body);
+    let payload = match r.u8().ok_or(Malformed)? {
         1 => {
-            let shard = r.u32()?;
-            let count = r.u32()? as usize;
+            let shard = r.u32().ok_or(Malformed)?;
+            let count = r.u32().ok_or(Malformed)? as usize;
             // Cap against absurd counts so a (theoretically) colliding
             // corrupted frame cannot force a huge allocation.
             if count > body.len() {
-                return Err(DecodeError::Malformed);
+                return Err(Malformed);
             }
             let mut moves = Vec::with_capacity(count);
             for _ in 0..count {
-                moves.push((r.u32()?, r.u32()?));
+                moves.push((r.u32().ok_or(Malformed)?, r.u32().ok_or(Malformed)?));
             }
             SyncPayload::Delta { shard, moves }
         }
         2 => SyncPayload::Nack {
-            shard: r.u32()?,
-            missing_from: r.u32()?,
-            missing_seq: r.u64()?,
+            shard: r.u32().ok_or(Malformed)?,
+            missing_from: r.u32().ok_or(Malformed)?,
+            missing_seq: r.u64().ok_or(Malformed)?,
         },
         3 => SyncPayload::Digest {
-            shard: r.u32()?,
-            digest: r.u64()?,
+            shard: r.u32().ok_or(Malformed)?,
+            digest: r.u64().ok_or(Malformed)?,
         },
         4 => {
-            let num_blocks = r.u32()?;
-            let n = r.u32()? as usize;
+            let num_blocks = r.u32().ok_or(Malformed)?;
+            let n = r.u32().ok_or(Malformed)? as usize;
             if n > body.len() {
-                return Err(DecodeError::Malformed);
+                return Err(Malformed);
             }
             let mut assignment = Vec::with_capacity(n);
             for _ in 0..n {
-                assignment.push(r.u32()?);
+                assignment.push(r.u32().ok_or(Malformed)?);
             }
             SyncPayload::Resync {
                 num_blocks,
@@ -294,7 +222,9 @@ pub fn decode_msg(frame: &[u8]) -> Result<(u64, SyncPayload), DecodeError> {
         }
         other => return Err(DecodeError::UnknownKind(other)),
     };
-    r.done()?;
+    if !r.is_done() {
+        return Err(Malformed);
+    }
     Ok((seq, payload))
 }
 
@@ -305,21 +235,20 @@ pub fn decode_msg(frame: &[u8]) -> Result<(u64, SyncPayload), DecodeError> {
 /// cells and degree caches that [`Blockmodel::inject_state_corruption`]
 /// perturbs without touching the membership.
 pub fn blockmodel_digest(bm: &Blockmodel) -> u64 {
-    let mut bytes = Vec::new();
-    put_u32(&mut bytes, bm.num_blocks() as u32);
+    let mut h = Fnv1a::new();
+    h.bytes(&(bm.num_blocks() as u32).to_le_bytes());
     for &b in bm.assignment() {
-        put_u32(&mut bytes, b);
+        h.bytes(&b.to_le_bytes());
     }
     for r in 0..bm.num_blocks() as Block {
-        put_u64(&mut bytes, bm.d_out(r));
-        put_u64(&mut bytes, bm.d_in(r));
-        put_u32(&mut bytes, bm.block_size(r));
+        h.bytes(&bm.d_out(r).to_le_bytes())
+            .bytes(&bm.d_in(r).to_le_bytes())
+            .bytes(&bm.block_size(r).to_le_bytes());
         for (s, w) in bm.row(r).iter() {
-            put_u32(&mut bytes, s);
-            put_u64(&mut bytes, w);
+            h.bytes(&s.to_le_bytes()).bytes(&w.to_le_bytes());
         }
     }
-    checksum(&bytes)
+    h.finish()
 }
 
 /// Per-sender delivery tracker: enforces in-order application of the
@@ -499,7 +428,8 @@ impl NetFaultPlan {
     }
 
     /// Parse the CLI grammar (see module docs). Whitespace around
-    /// directives is ignored; an empty string is the null plan.
+    /// directives and around their `:` is ignored; an empty string is the
+    /// null plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = NetFaultPlan::none();
         let rate = |directive: &str, text: &str| -> Result<f64, String> {
@@ -511,27 +441,16 @@ impl NetFaultPlan {
             }
             Ok(p)
         };
-        let shard_at = |directive: &str, text: &str| -> Result<(usize, u64), String> {
-            let (shard_text, round_text) = text
-                .split_once('@')
-                .ok_or_else(|| format!("`{directive}`: expected SHARD@ROUND"))?;
-            let shard: usize = shard_text
+        let shard_at = |d: &Directive| -> Result<(usize, u64), String> {
+            let (shard, round) = d.shard_at("ROUND")?;
+            let round = round
                 .parse()
-                .map_err(|e| format!("`{directive}`: bad shard `{shard_text}`: {e}"))?;
-            let round: u64 = round_text
-                .parse()
-                .map_err(|e| format!("`{directive}`: bad round `{round_text}`: {e}"))?;
+                .map_err(|e| format!("`{}`: bad round `{round}`: {e}", d.text))?;
             Ok((shard, round))
         };
-        for raw in spec.split(',') {
-            let directive = raw.trim();
-            if directive.is_empty() {
-                continue;
-            }
-            let (kind, rest) = directive
-                .split_once(':')
-                .ok_or_else(|| format!("`{directive}`: expected KIND:ARG"))?;
-            match kind {
+        for d in directive::parse(spec, "KIND:ARG")? {
+            let (directive, rest) = (d.text, d.arg);
+            match d.verb {
                 "seed" => {
                     plan.seed = rest
                         .parse()
@@ -553,8 +472,8 @@ impl NetFaultPlan {
                         return Err(format!("`{directive}`: delay rounds must be >= 1"));
                     }
                 }
-                "silent" => plan.silent.push(shard_at(directive, rest)?),
-                "desync" => plan.desync.push(shard_at(directive, rest)?),
+                "silent" => plan.silent.push(shard_at(&d)?),
+                "desync" => plan.desync.push(shard_at(&d)?),
                 other => {
                     return Err(format!(
                         "`{directive}`: unknown net fault `{other}` \
@@ -733,14 +652,7 @@ impl EmulatedNet {
         // sequence trackers are what straightens it back out.
         if !arrivals.is_empty() {
             let scramble = arrivals.iter().enumerate().any(|(i, (src, frame))| {
-                let seq = frame
-                    .get(4..12)
-                    .map(|b| {
-                        let mut buf = [0u8; 8];
-                        buf.copy_from_slice(b);
-                        u64::from_le_bytes(buf)
-                    })
-                    .unwrap_or(i as u64);
+                let seq = record::header_seq(frame).unwrap_or(i as u64);
                 self.plan.reorders(*src as u32, dst as u32, seq, 0)
             });
             if scramble {

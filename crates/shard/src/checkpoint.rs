@@ -19,15 +19,16 @@
 //! reports timing only for the shards it actually re-ran — the stitched
 //! partition and MDL are unaffected).
 //!
-//! Files are written to a temporary name and renamed into place, so a kill
-//! mid-write never leaves a torn shard file behind.
+//! Files are written through [`hsbp_core::atomic_write`] (temporary name,
+//! fsync, rename), so a kill mid-write never leaves a torn shard file
+//! behind.
 
 use crate::runner::CostBasis;
 use crate::{PartitionStrategy, ShardConfig};
-use hsbp_core::{HsbpError, RunStats, SbpResult};
+use hsbp_collections::fnv::Fnv1a;
+use hsbp_core::{atomic_write, HsbpError, RunStats, SbpResult};
 use hsbp_graph::partition::{read_partition_file, write_partition_file};
 use hsbp_graph::Graph;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const META_FILE: &str = "meta.txt";
@@ -62,33 +63,21 @@ fn ckpt_err(path: &Path, message: impl Into<String>) -> HsbpError {
 
 /// Stable tag for the partition strategy, stored in `meta.txt`. External
 /// partitions are fingerprinted (FNV-1a over the part ids) rather than
-/// inlined — `parts.txt` holds the full plan either way.
+/// inlined — `parts.txt` holds the full plan either way. The hash folds
+/// each part id in as one word ([`Fnv1a::word`]), so tags written by
+/// earlier builds still match and their directories still resume.
 fn strategy_tag(strategy: &PartitionStrategy) -> String {
     match strategy {
         PartitionStrategy::RoundRobin => "round-robin".to_string(),
         PartitionStrategy::DegreeBalanced => "degree-balanced".to_string(),
         PartitionStrategy::FromParts(parts) => {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut hash = Fnv1a::new();
             for &p in parts {
-                hash ^= u64::from(p);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                hash.word(u64::from(p));
             }
-            format!("from-parts:{hash:016x}")
+            format!("from-parts:{:016x}", hash.finish())
         }
     }
-}
-
-/// Write `content` to `path` via a temporary sibling + rename, so readers
-/// never observe a half-written file.
-fn write_atomic(path: &Path, content: &str) -> Result<(), HsbpError> {
-    let tmp = path.with_extension("tmp");
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| ckpt_err(&tmp, format!("create: {e}")))?;
-    file.write_all(content.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| ckpt_err(&tmp, format!("write: {e}")))?;
-    drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| ckpt_err(path, format!("rename: {e}")))
 }
 
 fn meta_content(graph: &Graph, cfg: &ShardConfig) -> String {
@@ -147,7 +136,13 @@ impl Checkpoint {
                 .map_err(|e| ckpt_err(&parts_path, format!("write: {e}")))?;
             // Meta is written last: its presence marks an initialised
             // directory.
-            write_atomic(&meta_path, &expected_meta)?;
+            atomic_write(
+                &meta_path,
+                expected_meta.as_bytes(),
+                true,
+                || true,
+                ckpt_err,
+            )?;
         }
         Ok(Self { dir })
     }
@@ -195,7 +190,13 @@ impl Checkpoint {
             result.mdl.total,
             result.normalized_mdl,
         );
-        write_atomic(&self.shard_path(shard), &content)
+        atomic_write(
+            &self.shard_path(shard),
+            content.as_bytes(),
+            true,
+            || true,
+            ckpt_err,
+        )
     }
 
     /// Load shard `shard` if its checkpoint file exists. `expected_n` is

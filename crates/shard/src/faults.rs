@@ -6,7 +6,8 @@
 //! the same plan against the same `(graph, config)` produces the same run,
 //! bit for bit.
 //!
-//! The CLI grammar (`--fault-plan`) is a comma-separated list of directives:
+//! The CLI grammar (`--fault-plan`) is a comma-separated list of directives
+//! (tokenized by the shared [`hsbp_collections::directive`] grammar):
 //!
 //! ```text
 //! panic:SHARD@ATTEMPT      panic on that attempt (1-based)
@@ -20,6 +21,7 @@
 //! e.g. `panic:0@1,panic:3@1` fails shards 0 and 3 on their first attempt
 //! only (both recover via retry), while `panic:2@*` kills shard 2 for good.
 
+use hsbp_collections::directive;
 use hsbp_core::SbpResult;
 
 /// What a single injected fault does to one shard attempt.
@@ -127,23 +129,13 @@ impl FaultPlan {
     }
 
     /// Parse the CLI grammar (see module docs). Whitespace around
-    /// directives is ignored; an empty string is the empty plan.
+    /// directives and around their `:` is ignored; an empty string is the
+    /// empty plan.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::none();
-        for raw in spec.split(',') {
-            let directive = raw.trim();
-            if directive.is_empty() {
-                continue;
-            }
-            let (kind_name, rest) = directive
-                .split_once(':')
-                .ok_or_else(|| format!("`{directive}`: expected KIND:SHARD@ATTEMPT"))?;
-            let (shard_text, attempt_text) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("`{directive}`: expected SHARD@ATTEMPT after the kind"))?;
-            let shard: usize = shard_text
-                .parse()
-                .map_err(|e| format!("`{directive}`: bad shard index `{shard_text}`: {e}"))?;
+        for d in directive::parse(spec, "KIND:SHARD@ATTEMPT")? {
+            let directive = d.text;
+            let (shard, attempt_text) = d.shard_at("ATTEMPT")?;
             // delay carries `=SECS` after the attempt selector.
             let (attempt_text, delay_secs) = match attempt_text.split_once('=') {
                 Some((a, secs)) => {
@@ -170,7 +162,7 @@ impl FaultPlan {
                 }
                 AttemptSelector::On(a)
             };
-            let kind = match (kind_name, delay_secs) {
+            let kind = match (d.verb, delay_secs) {
                 ("panic", None) => FaultKind::Panic,
                 ("corrupt", None) => FaultKind::Corrupt,
                 ("delay", Some(secs)) => FaultKind::Delay(secs),

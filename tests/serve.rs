@@ -281,6 +281,24 @@ fn protocol_errors_are_typed_and_connection_survives() {
     handle.join();
 }
 
+/// A hostile line nested far past any stack is a typed parse error, not a
+/// crashed daemon: the same connection keeps being served.
+#[test]
+fn deeply_nested_line_is_a_parse_error_and_connection_survives() {
+    let handle = spawn_default(planted(10));
+    let mut client = Client::connect(&handle);
+
+    let deep = client.request(&"[".repeat(100_000));
+    assert_eq!(deep.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(error_kind(&deep).as_deref(), Some("parse"));
+
+    let version = client.ok("{\"op\":\"version\"}");
+    assert_eq!(u(&version, "protocol"), u64::from(PROTOCOL_VERSION));
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// Over-limit mutation batches get a typed `busy` error; the connection
 /// stays usable and the backlog drains normally.
 #[test]
