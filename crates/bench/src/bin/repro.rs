@@ -126,7 +126,6 @@ fn main() {
         "ablation" => {
             exp::ablation_serial_fraction(&ctx, &out);
             exp::ablation_chunking(&ctx, &out);
-            exp::ablation_staleness(&ctx, &out);
             exp::ablation_batches(&ctx, &out);
             exp::ablation_exact_async(&ctx, &out);
         }

@@ -456,38 +456,6 @@ pub fn ablation_chunking(ctx: &ExperimentContext, out: &Path) {
     );
 }
 
-/// Ablation (beyond the paper): distributed-A-SBP staleness — how result
-/// quality and iteration count degrade when workers evaluate against a
-/// model `d` sweeps old (paper §6's "how best to distribute A-SBP").
-pub fn ablation_staleness(ctx: &ExperimentContext, out: &Path) {
-    let spec = table1_entry("S6");
-    let data = generate(spec.config(ctx.scale));
-    let mut t = Table::new(&["staleness", "NMI", "MDL_norm", "sweeps"]);
-    for staleness in [1usize, 2, 4, 8] {
-        if ctx.verbose {
-            eprintln!("ablation staleness={staleness}");
-        }
-        let cfg = SbpConfig {
-            variant: Variant::AsyncGibbs,
-            asbp_staleness: staleness,
-            seed: ctx.seed,
-            ..Default::default()
-        };
-        let result = run_sbp(&data.graph, &cfg);
-        t.row(vec![
-            staleness.to_string(),
-            fmt(hsbp_metrics::nmi(&data.ground_truth, &result.assignment), 3),
-            fmt(result.normalized_mdl, 4),
-            result.stats.mcmc_sweeps.to_string(),
-        ]);
-    }
-    t.emit(
-        "Ablation: A-SBP staleness (distributed emulation)",
-        out,
-        "ablation_staleness",
-    );
-}
-
 /// Ablation (beyond the paper): batched A-SBP — the paper's conclusion
 /// suggests rebuilding in batches to shrink staleness without a serial set.
 pub fn ablation_batches(ctx: &ExperimentContext, out: &Path) {
@@ -602,7 +570,6 @@ pub fn run_all(ctx: &ExperimentContext, out: &Path) {
     fig7_report(ctx, out);
     ablation_serial_fraction(ctx, out);
     ablation_chunking(ctx, out);
-    ablation_staleness(ctx, out);
     ablation_batches(ctx, out);
     ablation_exact_async(ctx, out);
 }

@@ -132,7 +132,8 @@ pub struct VariantMeasurement {
     /// (fastest repeat; 0 for the serial SBP variant, which never
     /// consolidates).
     pub consolidations_incremental: u64,
-    /// Consolidations resolved by a full O(E) rebuild (fastest repeat).
+    /// End-of-sweep consolidations resolved by a full O(E) rebuild (fastest
+    /// repeat).
     pub consolidations_rebuild: u64,
     /// Accepted moves replayed through the incremental path (fastest repeat).
     pub consolidated_moves: u64,

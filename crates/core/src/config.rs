@@ -29,31 +29,6 @@ impl Variant {
     }
 }
 
-/// How the parallel sweep variants fold a sweep's accepted moves back into
-/// the blockmodel at the end of the sweep (batch for A-SBP with
-/// `asbp_batches > 1`).
-///
-/// Both strategies produce byte-identical blockmodels — the sparse rows are
-/// canonical sorted vectors and the incremental path applies exact integer
-/// deltas — so the choice is purely a performance trade-off, made per sweep
-/// by the [`hsbp_timing::CostModel`] crossover in [`Consolidation::Auto`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Consolidation {
-    /// Per-sweep cost-model decision: apply accepted moves via O(degree)
-    /// `apply_move` deltas when that undercuts a full O(E) rebuild.
-    #[default]
-    Auto,
-    /// Always apply moves incrementally (testing/ablation).
-    ForceIncremental,
-    /// Always rebuild from the membership vector — the pre-consolidation
-    /// behaviour (testing/ablation).
-    ForceRebuild,
-    /// Run *both* paths every sweep and error with
-    /// [`crate::HsbpError::StateDrift`] if they disagree (debug harness;
-    /// pays for both).
-    Verify,
-}
-
 /// Full configuration of an SBP run.
 #[derive(Debug, Clone)]
 pub struct SbpConfig {
@@ -80,12 +55,6 @@ pub struct SbpConfig {
     /// rebuild after each batch. 1 = the paper's A-SBP; larger values are
     /// the "batched A-SBP" extension sketched in the paper's conclusion.
     pub asbp_batches: usize,
-    /// Age (in sweeps) of the blockmodel A-SBP evaluates against. 1 = the
-    /// paper's A-SBP (state is at most one sweep stale); larger values
-    /// emulate a *distributed* A-SBP where workers synchronise every
-    /// `asbp_staleness` rounds (paper §6 future work). Ignored by the other
-    /// variants and by batched sweeps (`asbp_batches > 1`).
-    pub asbp_staleness: usize,
     /// Number of logical workers (model replicas) for
     /// [`Variant::ExactAsync`].
     pub exact_async_workers: usize,
@@ -112,8 +81,6 @@ pub struct SbpConfig {
     /// state right after this cumulative sweep completes (membership is
     /// left intact, so the next audit must catch it). `None` in production.
     pub inject_drift_at_sweep: Option<usize>,
-    /// End-of-sweep consolidation strategy for the parallel variants.
-    pub consolidation: Consolidation,
     /// Cost model for the simulated-thread accounting.
     pub cost_model: CostModel,
     /// Virtual thread counts tracked by the simulated scheduler.
@@ -133,7 +100,6 @@ impl Default for SbpConfig {
             merge_proposals_per_block: 10,
             block_reduction_rate: 0.5,
             asbp_batches: 1,
-            asbp_staleness: 1,
             exact_async_workers: 8,
             seed: 0,
             threads: 0,
@@ -141,7 +107,6 @@ impl Default for SbpConfig {
             audit_cadence: 64,
             strict_audit: false,
             inject_drift_at_sweep: None,
-            consolidation: Consolidation::Auto,
             cost_model: CostModel::default(),
             sim_thread_counts: DEFAULT_THREAD_COUNTS.to_vec(),
             sim_chunking: Chunking::Static,
@@ -183,9 +148,6 @@ impl SbpConfig {
         }
         if self.asbp_batches == 0 {
             return Err("asbp_batches must be at least 1".into());
-        }
-        if self.asbp_staleness == 0 {
-            return Err("asbp_staleness must be at least 1".into());
         }
         if self.exact_async_workers == 0 {
             return Err("exact_async_workers must be at least 1".into());
@@ -237,7 +199,6 @@ mod tests {
         assert!(bad(|c| c.merge_proposals_per_block = 0));
         assert!(bad(|c| c.block_reduction_rate = 1.0));
         assert!(bad(|c| c.asbp_batches = 0));
-        assert!(bad(|c| c.asbp_staleness = 0));
         assert!(bad(|c| c.exact_async_workers = 0));
         assert!(bad(|c| c.sim_thread_counts = vec![]));
     }

@@ -17,7 +17,7 @@
 use crate::budget::{CancelToken, RunBudget, RunControl, StopCause};
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
-use crate::mcmc::run_mcmc_phase_controlled;
+use crate::mcmc::{run_mcmc_phase_controlled, McmcOutcome};
 use crate::merge::merge_phase_controlled;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{mdl, Block, Blockmodel};
@@ -118,42 +118,59 @@ pub fn run_sbp_budgeted(
     budget.validate().map_err(HsbpError::InvalidConfig)?;
     let ctrl = RunControl::new(budget, token);
     let mut stats = RunStats::new(cfg);
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Ok(SbpResult {
-            assignment: Vec::new(),
-            num_blocks: 0,
-            mdl: mdl::Mdl {
-                log_likelihood: 0.0,
-                model_complexity: 0.0,
-                total: 0.0,
-            },
-            normalized_mdl: f64::NAN,
-            trajectory: Vec::new(),
-            stats,
-        });
-    }
-
-    let mut bm = stats
+    let start = stats
         .timer
         .time(Phase::Other, || Blockmodel::singleton_partition(graph));
-    let singleton_mdl = mdl::mdl(&bm, n, graph.total_weight()).total;
+    golden_section_search(
+        graph,
+        cfg,
+        start,
+        0,
+        stats,
+        &ctrl,
+        |bm, phase_index, stats| {
+            run_mcmc_phase_controlled(graph, bm, cfg, phase_index, stats, &ctrl)
+        },
+    )
+}
 
+/// The golden-section search over the number of communities, shared by
+/// every mode: single-model SBP starts it from the singleton partition,
+/// the sharded pipeline from the stitched union of the shard partitions,
+/// and the exact distributed mode runs it with its distributed MCMC phase.
+///
+/// `start` is the fully-split end of the bracket (it seeds `upper`, and is
+/// returned when nothing better is found); evaluations are numbered from
+/// `first_phase`, which salts each phase's randomness. Every evaluation
+/// merges down to the target block count (`merge_phase_controlled` under
+/// `cfg`) and then runs `mcmc_phase(bm, phase_index, stats)`. At most
+/// `cfg.max_outer_iterations` evaluations run; each one is counted in
+/// `stats.outer_iterations` and recorded in the returned trajectory (the
+/// start state is not). `ctrl` is checked before every evaluation, and a
+/// truncated merge or MCMC phase discards the evaluation in flight.
+pub fn golden_section_search(
+    graph: &Graph,
+    cfg: &SbpConfig,
+    start: Blockmodel,
+    first_phase: u64,
+    mut stats: RunStats,
+    ctrl: &RunControl,
+    mut mcmc_phase: impl FnMut(&mut Blockmodel, u64, &mut RunStats) -> Result<McmcOutcome, HsbpError>,
+) -> Result<SbpResult, HsbpError> {
+    let n = graph.num_vertices();
+    let mut bm = start;
     // Search state: `upper` starts at the fully-split partition.
     let mut upper: Option<Evaluated> = Some(Evaluated {
-        num_blocks: n,
-        mdl_total: singleton_mdl,
+        num_blocks: bm.num_blocks(),
+        mdl_total: mdl::mdl(&bm, n, graph.total_weight()).total,
         assignment: bm.assignment().to_vec(),
     });
     let mut mid: Option<Evaluated> = None;
     let mut lower: Option<Evaluated> = None;
 
-    let mut phase_index: u64 = 0;
+    let mut phase_index = first_phase;
     let mut trajectory: Vec<(usize, f64)> = Vec::new();
-    loop {
-        if stats.outer_iterations >= cfg.max_outer_iterations {
-            break;
-        }
+    while n > 0 && trajectory.len() < cfg.max_outer_iterations {
         if let Some(cause) = ctrl.eval_stop_cause(stats.mcmc_sweeps, stats.outer_iterations) {
             stats.stop_cause = cause;
             break;
@@ -175,49 +192,40 @@ pub fn run_sbp_budgeted(
             }
             let gap_hi = u.num_blocks - m.num_blocks;
             let gap_lo = m.num_blocks - l.num_blocks;
-            if gap_hi >= gap_lo && gap_hi >= 2 {
+            let (source, t) = if gap_hi >= gap_lo && gap_hi >= 2 {
                 // Interior of (mid, upper): merge down from upper's state.
                 let t = m.num_blocks + ((gap_hi as f64) * GOLDEN).round() as usize;
-                let t = t.clamp(m.num_blocks + 1, u.num_blocks - 1);
-                let source = u.clone();
-                bm = stats.timer.time(Phase::Other, || {
-                    Blockmodel::from_assignment(graph, source.assignment, source.num_blocks)
-                });
-                t
+                (u, t.clamp(m.num_blocks + 1, u.num_blocks - 1))
             } else if gap_lo >= 2 {
                 // Interior of (lower, mid): merge down from mid's state.
                 let t = m.num_blocks - ((gap_lo as f64) * GOLDEN).round() as usize;
-                let t = t.clamp(l.num_blocks + 1, m.num_blocks - 1);
-                let source = m.clone();
-                bm = stats.timer.time(Phase::Other, || {
-                    Blockmodel::from_assignment(graph, source.assignment, source.num_blocks)
-                });
-                t
+                (m, t.clamp(l.num_blocks + 1, m.num_blocks - 1))
             } else {
                 break;
-            }
+            };
+            let source = source.clone();
+            bm = stats.timer.time(Phase::Other, || {
+                Blockmodel::from_assignment(graph, source.assignment, source.num_blocks)
+            });
+            t
         };
 
         // Merge phase, then MCMC phase (timed separately; the closures
         // borrow `stats` themselves, so time with explicit Instants).
-        let start = std::time::Instant::now();
+        let clock = std::time::Instant::now();
         let merge_out =
-            merge_phase_controlled(graph, &mut bm, target, cfg, phase_index, &mut stats, &ctrl);
-        stats.timer.add(Phase::BlockMerge, start.elapsed());
+            merge_phase_controlled(graph, &mut bm, target, cfg, phase_index, &mut stats, ctrl);
+        stats.timer.add(Phase::BlockMerge, clock.elapsed());
         if merge_out.truncated {
             stats.stop_cause = ctrl.interrupt_cause().unwrap_or(StopCause::Cancelled);
             break; // discard the in-flight evaluation
         }
-        let start = std::time::Instant::now();
-        let mcmc_res =
-            run_mcmc_phase_controlled(graph, &mut bm, cfg, phase_index, &mut stats, &ctrl);
-        stats.timer.add(Phase::Mcmc, start.elapsed());
+        let clock = std::time::Instant::now();
+        let mcmc_res = mcmc_phase(&mut bm, phase_index, &mut stats);
+        stats.timer.add(Phase::Mcmc, clock.elapsed());
         let mcmc_out = mcmc_res?;
         if mcmc_out.truncated {
-            stats.stop_cause = ctrl
-                .sweep_stop_cause(stats.mcmc_sweeps)
-                .unwrap_or(StopCause::Cancelled);
-            break; // discard the in-flight evaluation
+            break; // discard the in-flight evaluation (the phase set stop_cause)
         }
         phase_index += 1;
         stats.outer_iterations += 1;
@@ -269,7 +277,7 @@ pub fn run_sbp_budgeted(
     }
 
     let Some(best) = mid.or(upper) else {
-        unreachable!("at least the singleton state exists");
+        unreachable!("the start state seeds `upper` and is never cleared");
     };
     let bm = Blockmodel::from_assignment(graph, best.assignment.clone(), best.num_blocks);
     let final_mdl = mdl::mdl(&bm, n, graph.total_weight());

@@ -181,8 +181,10 @@ impl HsbpError {
 
 /// Write `bytes` to `path` through a temporary sibling (`path` with the
 /// extension `tmp`) that is renamed into place, so readers never observe a
-/// half-written file. `sync` fsyncs the temporary file before the rename.
-/// `before_rename` runs between the write and the rename; returning `false`
+/// half-written file. `sync` fsyncs the temporary file before the rename
+/// and the parent directory after it; the directory fsync makes the rename
+/// itself durable, so a crash right after a successful return cannot bring
+/// back the old file. `before_rename` runs between the write and the rename; returning `false`
 /// skips the rename, as a crash at that point would (a fault-injection
 /// hook; pass `|| true` otherwise). `err` builds the caller's error from
 /// the failing path and a message.
@@ -202,7 +204,17 @@ pub fn atomic_write(
     if !before_rename() {
         return Ok(());
     }
-    std::fs::rename(&tmp, path).map_err(|e| err(path, format!("rename: {e}")))
+    std::fs::rename(&tmp, path).map_err(|e| err(path, format!("rename: {e}")))?;
+    if sync {
+        let dir = match path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => parent,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| err(dir, format!("fsync directory: {e}")))?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -50,11 +50,14 @@ pub mod refine;
 pub mod stats;
 
 pub use budget::{CancelToken, RunBudget, RunControl, StopCause};
-pub use config::{Consolidation, SbpConfig, Variant};
-pub use driver::{run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
+pub use config::{SbpConfig, Variant};
+pub use driver::{golden_section_search, run_sbp, run_sbp_budgeted, run_sbp_checked, SbpResult};
 pub use error::{atomic_write, HsbpError};
 pub use influence::{asbp_convergence_risk, degree_concentration, degree_gini, AsbpRisk};
-pub use mcmc::{run_mcmc_phase, run_mcmc_phase_controlled, serial_mh, McmcOutcome, SerialPass};
+pub use mcmc::{
+    consolidate_sweep, run_mcmc_phase, run_mcmc_phase_controlled, run_phase_loop, serial_mh,
+    McmcOutcome, PhaseStep, SerialPass,
+};
 pub use merge::{merge_phase, merge_phase_controlled, MergeOutcome};
 pub use refine::{expand_dirty_region, extend_assignment, refine_partition, RefineOutcome};
 pub use stats::{DriftEvent, RunStats};

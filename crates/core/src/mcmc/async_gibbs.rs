@@ -23,7 +23,6 @@ use super::consolidate::consolidate_sweep;
 use super::{degree_plan, PhaseWorkspace, SweepCounters};
 use crate::budget::RunControl;
 use crate::config::SbpConfig;
-use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{
     evaluate_move_with, propose::accept_move, propose_block_frozen, Block, BlockNeighborSampler,
@@ -97,67 +96,6 @@ pub(crate) fn evaluate_chunk(
     }
 }
 
-/// A sweep evaluated against an *arbitrarily stale* model (the distributed
-/// A-SBP emulation, `asbp_staleness > 1`): proposals and MH ratios use
-/// `eval_model` — the blockmodel as it was `staleness` sweeps ago — while
-/// accepted moves update the *current* membership vector, exactly as remote
-/// workers applying decisions made from an old synchronisation point would.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_stale(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    eval_model: &Blockmodel,
-    cfg: &SbpConfig,
-    salt: u64,
-    sweep_idx: u64,
-    stats: &mut RunStats,
-    parallel_costs: &[f64],
-    exec: &ThreadPool,
-    ws: &mut PhaseWorkspace,
-) -> Result<SweepCounters, HsbpError> {
-    let n = graph.num_vertices();
-    let sweep_no = stats.mcmc_sweeps + 1;
-    let mut counters = SweepCounters::default();
-    let stale_assignment = eval_model.assignment();
-    let sampler = BlockNeighborSampler::build(eval_model);
-    let plan = degree_plan(graph, 0, n, exec.chunk_target());
-    let decisions: Vec<Option<Block>> =
-        exec.map_chunked_resident(&plan, ProposalArena::default, |arena, range, out| {
-            evaluate_chunk(
-                graph,
-                eval_model,
-                &sampler,
-                stale_assignment,
-                |i| i as Vertex,
-                range,
-                cfg,
-                salt,
-                sweep_idx,
-                arena,
-                out,
-            );
-        });
-    counters.proposals += n as u64;
-    let mut new_assignment = bm.assignment_snapshot();
-    for (v, decision) in decisions.into_iter().enumerate() {
-        if let Some(to) = decision {
-            new_assignment[v] = to;
-            counters.accepted += 1;
-        }
-    }
-    stats.sim_mcmc.add_parallel(parallel_costs);
-    consolidate_sweep(
-        graph,
-        bm,
-        new_assignment,
-        cfg,
-        &mut ws.arena,
-        stats,
-        sweep_no,
-    )?;
-    Ok(counters)
-}
-
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep(
     graph: &Graph,
@@ -170,9 +108,8 @@ pub(crate) fn sweep(
     ctrl: &RunControl,
     exec: &ThreadPool,
     ws: &mut PhaseWorkspace,
-) -> Result<SweepCounters, HsbpError> {
+) -> SweepCounters {
     let n = graph.num_vertices();
-    let sweep_no = stats.mcmc_sweeps + 1;
     let mut counters = SweepCounters::default();
     let batches = cfg.asbp_batches.min(n.max(1));
     let batch_len = n.div_ceil(batches.max(1));
@@ -222,15 +159,7 @@ pub(crate) fn sweep(
         // the consolidation charges itself (serial move replay or
         // parallelisable rebuild).
         stats.sim_mcmc.add_parallel(&parallel_costs[start..end]);
-        consolidate_sweep(
-            graph,
-            bm,
-            new_assignment,
-            cfg,
-            &mut ws.arena,
-            stats,
-            sweep_no,
-        )?;
+        consolidate_sweep(graph, bm, new_assignment, cfg, &mut ws.arena, stats);
     }
-    Ok(counters)
+    counters
 }

@@ -12,30 +12,28 @@
 //! Both paths land on the *same bytes*: `apply_move` performs exact integer
 //! updates and the sparse rows are canonical sorted vectors, so the
 //! incremental result is structurally identical to a rebuild from the same
-//! membership (property-tested, and checkable at runtime with
-//! [`Consolidation::Verify`]). The strategy choice is therefore pure
-//! performance, made per sweep by the [`CostModel`] crossover.
+//! membership (property-tested, and checked at runtime by the drift audit
+//! with `audit_cadence: 1, strict_audit: true`). The strategy choice is
+//! therefore pure performance, made per sweep by the
+//! [`hsbp_timing::CostModel`] crossover.
 
-use crate::config::{Consolidation, SbpConfig};
-use crate::error::HsbpError;
+use crate::config::SbpConfig;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{Block, Blockmodel, NeighborCounts, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
 
 /// Replace `bm`'s state with the blockmodel implied by `new_assignment`,
-/// choosing between incremental move replay and a full rebuild according to
-/// `cfg.consolidation`. Charges the simulated-time account and the
-/// consolidation counters on `stats`; `total_sweep` labels a
-/// [`HsbpError::StateDrift`] raised by the Verify mode.
-pub(crate) fn consolidate_sweep(
+/// replaying the moves incrementally when the cost-model crossover says
+/// that undercuts a full rebuild. Charges the simulated-time account and
+/// the consolidation counters on `stats`.
+pub fn consolidate_sweep(
     graph: &Graph,
     bm: &mut Blockmodel,
     new_assignment: Vec<Block>,
     cfg: &SbpConfig,
     arena: &mut ProposalArena,
     stats: &mut RunStats,
-    total_sweep: usize,
-) -> Result<(), HsbpError> {
+) {
     let n = graph.num_vertices();
     debug_assert_eq!(new_assignment.len(), n);
     let current = bm.assignment();
@@ -52,37 +50,10 @@ pub(crate) fn consolidate_sweep(
     if moves == 0 {
         // Nothing changed: both paths are the identity; charge nothing.
         stats.consolidations_incremental += 1;
-        return Ok(());
-    }
-
-    if cfg.consolidation == Consolidation::Verify {
-        let mut rebuilt = bm.clone();
-        rebuilt.rebuild(graph, new_assignment.clone());
-        apply_incremental(graph, bm, &new_assignment, arena);
-        if *bm != rebuilt {
-            return Err(HsbpError::StateDrift {
-                sweep: total_sweep,
-                detail: format!(
-                    "incremental consolidation diverged from rebuild after {moves} moves"
-                ),
-            });
-        }
-        stats.consolidated_moves += moves as u64;
-        stats.consolidations_incremental += 1;
-        stats.consolidations_rebuild += 1;
-        stats.sim_mcmc.add_serial(incremental_cost);
-        charge_rebuild(cfg, graph, stats);
-        return Ok(());
-    }
-
-    let incremental = match cfg.consolidation {
-        Consolidation::ForceIncremental => true,
-        Consolidation::ForceRebuild => false,
-        Consolidation::Auto | Consolidation::Verify => cfg
-            .cost_model
-            .prefer_incremental_consolidation(incremental_cost, graph.num_edges()),
-    };
-    if incremental {
+    } else if cfg
+        .cost_model
+        .prefer_incremental_consolidation(incremental_cost, graph.num_edges())
+    {
         apply_incremental(graph, bm, &new_assignment, arena);
         stats.consolidated_moves += moves as u64;
         stats.consolidations_incremental += 1;
@@ -90,9 +61,11 @@ pub(crate) fn consolidate_sweep(
     } else {
         bm.rebuild(graph, new_assignment);
         stats.consolidations_rebuild += 1;
-        charge_rebuild(cfg, graph, stats);
+        stats.sim_mcmc.add_parallel_uniform(
+            cfg.cost_model.rebuild_cost(graph.num_edges()),
+            cfg.cost_model.rebuild_serial_fraction,
+        );
     }
-    Ok(())
 }
 
 /// Replay every `current != target` vertex through `apply_move`, ascending
@@ -121,13 +94,4 @@ fn apply_incremental(
         );
         bm.apply_move(v, from, to, &arena.counts);
     }
-}
-
-/// Simulated-time charge for the rebuild path (parallelisable up to the
-/// serial merge fraction) — identical to the pre-consolidation accounting.
-fn charge_rebuild(cfg: &SbpConfig, graph: &Graph, stats: &mut RunStats) {
-    stats.sim_mcmc.add_parallel_uniform(
-        cfg.cost_model.rebuild_cost(graph.num_edges()),
-        cfg.cost_model.rebuild_serial_fraction,
-    );
 }

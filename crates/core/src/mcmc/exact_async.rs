@@ -27,7 +27,6 @@ use super::consolidate::consolidate_sweep;
 use super::{serial_mh, PhaseWorkspace, SweepCounters};
 use crate::budget::RunControl;
 use crate::config::SbpConfig;
-use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{Block, Blockmodel, NeighborCounts, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
@@ -45,9 +44,8 @@ pub(crate) fn sweep(
     ctrl: &RunControl,
     exec: &ThreadPool,
     ws: &mut PhaseWorkspace,
-) -> Result<SweepCounters, HsbpError> {
+) -> SweepCounters {
     let n = graph.num_vertices();
-    let sweep_no = stats.mcmc_sweeps + 1;
     let workers = cfg.exact_async_workers.clamp(1, n.max(1));
     let shard_len = n.div_ceil(workers);
 
@@ -127,15 +125,7 @@ pub(crate) fn sweep(
     // Simulated accounting: the shard loops parallelise like A-SBP's sweep;
     // the consolidation charges itself below.
     stats.sim_mcmc.add_parallel(parallel_costs);
-    consolidate_sweep(
-        graph,
-        bm,
-        new_assignment,
-        cfg,
-        &mut ws.arena,
-        stats,
-        sweep_no,
-    )?;
+    consolidate_sweep(graph, bm, new_assignment, cfg, &mut ws.arena, stats);
 
     // Bring every replica up to the consolidated state by folding in the
     // *other* workers' moves (the worker's own moves are already applied
@@ -192,5 +182,5 @@ pub(crate) fn sweep(
     synced.sort_unstable_by_key(|&(w, _)| w);
     ws.replicas
         .extend(synced.into_iter().map(|(_, local)| local));
-    Ok(counters)
+    counters
 }

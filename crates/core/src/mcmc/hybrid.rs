@@ -15,7 +15,6 @@ use super::metropolis::charged_pass;
 use super::{PhaseWorkspace, SweepCounters};
 use crate::budget::RunControl;
 use crate::config::SbpConfig;
-use crate::error::HsbpError;
 use crate::stats::RunStats;
 use hsbp_blockmodel::{Block, BlockNeighborSampler, Blockmodel, ProposalArena};
 use hsbp_graph::{Graph, Vertex};
@@ -36,9 +35,7 @@ pub(crate) fn sweep(
     exec: &ThreadPool,
     tail_plan: &ChunkPlan,
     ws: &mut PhaseWorkspace,
-) -> Result<SweepCounters, HsbpError> {
-    let sweep_no = stats.mcmc_sweeps + 1;
-
+) -> SweepCounters {
     // Serial Metropolis-Hastings pass over the influential set V*; an
     // interrupted pass leaves a consistent prefix.
     let mut counters = charged_pass(
@@ -88,15 +85,7 @@ pub(crate) fn sweep(
         }
 
         stats.sim_mcmc.add_parallel(tail_costs);
-        consolidate_sweep(
-            graph,
-            bm,
-            new_assignment,
-            cfg,
-            &mut ws.arena,
-            stats,
-            sweep_no,
-        )?;
+        consolidate_sweep(graph, bm, new_assignment, cfg, &mut ws.arena, stats);
     }
-    Ok(counters)
+    counters
 }

@@ -8,9 +8,10 @@ mod exact_async;
 mod hybrid;
 mod metropolis;
 
+pub use consolidate::consolidate_sweep;
 pub use metropolis::{serial_mh, SerialPass};
 
-use crate::budget::RunControl;
+use crate::budget::{RunControl, StopCause};
 use crate::config::{SbpConfig, Variant};
 use crate::error::HsbpError;
 use crate::stats::{DriftEvent, RunStats};
@@ -97,16 +98,13 @@ pub fn run_mcmc_phase(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_mcmc_phase`] under a [`RunControl`], with the cadenced drift audit.
+/// [`run_mcmc_phase`] under a [`RunControl`], with the cadenced drift audit:
+/// the configured variant's sweep driven by [`run_phase_loop`].
 ///
 /// Budget/cancel checks run at every sweep boundary (and, inside
 /// [`serial_mh`] passes, every [`crate::budget::VERTEX_CHECK_STRIDE`]
-/// vertices); a tripped control marks the outcome `truncated` and stops
-/// the phase. When `cfg.audit_cadence > 0`, the incremental blockmodel
-/// state is audited against a rebuild from membership every
-/// `audit_cadence` cumulative sweeps: divergence is repaired in place and recorded in
-/// `stats.drift_events`, or — with `cfg.strict_audit` — returned as
-/// `Err(HsbpError::StateDrift)`. That error is the only failure mode.
+/// vertices). A strict-mode drift audit failure
+/// (`Err(HsbpError::StateDrift)`) is the only failure mode.
 pub fn run_mcmc_phase_controlled(
     graph: &Graph,
     bm: &mut Blockmodel,
@@ -115,7 +113,6 @@ pub fn run_mcmc_phase_controlled(
     stats: &mut RunStats,
     ctrl: &RunControl,
 ) -> Result<McmcOutcome, HsbpError> {
-    let salt = mix_words(&[cfg.seed, 0x4d43_4d43, phase_index]); // "MCMC"
     let n = graph.num_vertices();
     stats.mcmc_phases += 1;
 
@@ -147,142 +144,190 @@ pub fn run_mcmc_phase_controlled(
     } else {
         ChunkPlan::even(0, 1)
     };
+    let mut step = VariantStep {
+        graph,
+        cfg,
+        salt: mix_words(&[cfg.seed, 0x4d43_4d43, phase_index]), // "MCMC"
+        order,
+        vstar_len,
+        parallel_costs,
+        exec,
+        tail_plan,
+        ctrl,
+        ws: PhaseWorkspace::default(),
+    };
+    run_phase_loop(graph, bm, cfg, phase_index, stats, ctrl, &mut step)
+}
 
+/// One sweep of the configured in-process variant.
+struct VariantStep<'a> {
+    graph: &'a Graph,
+    cfg: &'a SbpConfig,
+    salt: u64,
+    order: Vec<Vertex>,
+    vstar_len: usize,
+    parallel_costs: Vec<f64>,
+    exec: &'a hsbp_parallel::ThreadPool,
+    tail_plan: ChunkPlan,
+    ctrl: &'a RunControl,
+    ws: PhaseWorkspace,
+}
+
+impl PhaseStep for VariantStep<'_> {
+    fn sweep(
+        &mut self,
+        bm: &mut Blockmodel,
+        sweeps: usize,
+        stats: &mut RunStats,
+    ) -> Result<Option<usize>, HsbpError> {
+        let (graph, cfg, salt, sweep_idx) = (self.graph, self.cfg, self.salt, sweeps as u64);
+        let (ctrl, exec, ws) = (self.ctrl, self.exec, &mut self.ws);
+        let costs = &self.parallel_costs;
+        let counters = match cfg.variant {
+            Variant::Metropolis => {
+                let n = graph.num_vertices() as Vertex;
+                let arena = &mut ws.arena;
+                metropolis::charged_pass(graph, bm, 0..n, cfg, salt, sweep_idx, stats, ctrl, arena)
+            }
+            Variant::AsyncGibbs => async_gibbs::sweep(
+                graph, bm, cfg, salt, sweep_idx, stats, costs, ctrl, exec, ws,
+            ),
+            Variant::ExactAsync => exact_async::sweep(
+                graph, bm, cfg, salt, sweep_idx, stats, costs, ctrl, exec, ws,
+            ),
+            Variant::Hybrid => hybrid::sweep(
+                graph,
+                bm,
+                &self.order,
+                self.vstar_len,
+                cfg,
+                salt,
+                sweep_idx,
+                stats,
+                costs,
+                ctrl,
+                exec,
+                &self.tail_plan,
+                ws,
+            ),
+        };
+        if ctrl.interrupt_cause().is_some() {
+            // The sweep may have bailed out part-way; the whole evaluation
+            // is discarded by the driver, so don't count it.
+            return Ok(None);
+        }
+        stats.proposals += counters.proposals;
+        stats.accepted += counters.accepted;
+        Ok(Some(1))
+    }
+
+    fn model_rewritten(&mut self, _bm: &Blockmodel, _stats: &mut RunStats) {
+        // The EA-SBP replicas no longer match the global model: the next
+        // sweep reseeds them.
+        self.ws.replicas.clear();
+    }
+}
+
+/// The unit of work of an MCMC phase, driven by [`run_phase_loop`]: the
+/// in-process variants sweep once per step, the exact distributed mode runs
+/// one sync round of `sync_every` sweeps, and dirty-region refinement runs
+/// one serial pass over its region.
+pub trait PhaseStep {
+    /// Advance the chain on `bm` by one or more sweeps, starting at
+    /// phase-local sweep `sweeps` (the counter-RNG sweep index), and return
+    /// how many completed. `Ok(None)` means the run control interrupted
+    /// the step part-way: the phase is truncated and the step not counted.
+    /// The step accounts its own proposals, acceptances and simulated time
+    /// on `stats`.
+    fn sweep(
+        &mut self,
+        bm: &mut Blockmodel,
+        sweeps: usize,
+        stats: &mut RunStats,
+    ) -> Result<Option<usize>, HsbpError>;
+
+    /// Called after something other than a step rewrote `bm` (injected
+    /// drift, audit repair): rebuild any state derived from it.
+    fn model_rewritten(&mut self, _bm: &Blockmodel, _stats: &mut RunStats) {}
+}
+
+/// A closure is a step that owns no state derived from the model.
+impl<F> PhaseStep for F
+where
+    F: FnMut(&mut Blockmodel, usize, &mut RunStats) -> Result<Option<usize>, HsbpError>,
+{
+    fn sweep(
+        &mut self,
+        bm: &mut Blockmodel,
+        sweeps: usize,
+        stats: &mut RunStats,
+    ) -> Result<Option<usize>, HsbpError> {
+        self(bm, sweeps, stats)
+    }
+}
+
+/// The MCMC phase loop (Algorithms 2–4's "repeat … until ΔMDL < t × MDL or
+/// x sweeps"), shared by every phase of every mode: run `step` until the
+/// mean absolute MDL change over the last three steps falls below
+/// `cfg.mcmc_threshold · MDL` or `cfg.max_sweeps` sweeps are done.
+///
+/// Around each step it checks `ctrl` (a tripped control records
+/// `stats.stop_cause` and marks the outcome `truncated`), fires the
+/// `cfg.inject_drift_at_sweep` test hook, and audits the model whenever the
+/// step crossed an `cfg.audit_cadence` boundary of cumulative sweeps (one
+/// audit-and-repair helper, also used by refinement's terminal audit).
+/// After a drift injection or a repair the step's
+/// [`PhaseStep::model_rewritten`] hook runs. The caller counts
+/// `stats.mcmc_phases`.
+pub fn run_phase_loop(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    cfg: &SbpConfig,
+    phase_index: u64,
+    stats: &mut RunStats,
+    ctrl: &RunControl,
+    step: &mut impl PhaseStep,
+) -> Result<McmcOutcome, HsbpError> {
+    let n = graph.num_vertices();
     let mut previous = mdl::mdl(bm, n, graph.total_weight());
     let mut recent_deltas: Vec<f64> = Vec::with_capacity(3);
     let mut sweeps = 0;
     let mut converged = false;
     let mut truncated = false;
-    let mut ws = PhaseWorkspace::default();
-
-    // History of past models for the distributed-staleness emulation (only
-    // populated when it is actually consulted).
-    let staleness = cfg.asbp_staleness.max(1);
-    let use_stale = cfg.variant == Variant::AsyncGibbs && staleness > 1 && cfg.asbp_batches == 1;
-    let mut history: std::collections::VecDeque<Blockmodel> = std::collections::VecDeque::new();
-    if use_stale {
-        history.push_back(bm.clone());
-    }
 
     while sweeps < cfg.max_sweeps {
-        if ctrl.sweep_stop_cause(stats.mcmc_sweeps).is_some() {
+        if let Some(cause) = ctrl.sweep_stop_cause(stats.mcmc_sweeps) {
+            stats.stop_cause = cause;
             truncated = true;
             break;
         }
-        let counters = match cfg.variant {
-            Variant::Metropolis => metropolis::charged_pass(
-                graph,
-                bm,
-                0..n as Vertex,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                ctrl,
-                &mut ws.arena,
-            ),
-            Variant::AsyncGibbs if use_stale => {
-                // Evaluate against the oldest retained model (at most
-                // `staleness` sweeps old), then retire it.
-                let eval_model = history.front().cloned().unwrap_or_else(|| bm.clone());
-                let counters = async_gibbs::sweep_stale(
-                    graph,
-                    bm,
-                    &eval_model,
-                    cfg,
-                    salt,
-                    sweeps as u64,
-                    stats,
-                    &parallel_costs,
-                    exec,
-                    &mut ws,
-                )?;
-                history.push_back(bm.clone());
-                while history.len() > staleness {
-                    history.pop_front();
-                }
-                counters
-            }
-            Variant::AsyncGibbs => async_gibbs::sweep(
-                graph,
-                bm,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &mut ws,
-            )?,
-            Variant::ExactAsync => exact_async::sweep(
-                graph,
-                bm,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &mut ws,
-            )?,
-            Variant::Hybrid => hybrid::sweep(
-                graph,
-                bm,
-                &order,
-                vstar_len,
-                cfg,
-                salt,
-                sweeps as u64,
-                stats,
-                &parallel_costs,
-                ctrl,
-                exec,
-                &tail_plan,
-                &mut ws,
-            )?,
+        let Some(advanced) = step.sweep(bm, sweeps, stats)? else {
+            stats.stop_cause = ctrl
+                .sweep_stop_cause(stats.mcmc_sweeps)
+                .unwrap_or(StopCause::Cancelled);
+            truncated = true;
+            break;
         };
-        if ctrl.interrupt_cause().is_some() {
-            // The sweep may have bailed out part-way; the whole evaluation
-            // is discarded by the driver, so don't count it.
-            truncated = true;
-            break;
-        }
-        sweeps += 1;
-        stats.mcmc_sweeps += 1;
-        stats.proposals += counters.proposals;
-        stats.accepted += counters.accepted;
+        let before = stats.mcmc_sweeps;
+        sweeps += advanced;
+        stats.mcmc_sweeps += advanced;
 
-        if cfg.inject_drift_at_sweep == Some(stats.mcmc_sweeps) {
+        if let Some(at) = cfg
+            .inject_drift_at_sweep
+            .filter(|&at| before < at && at <= stats.mcmc_sweeps)
+        {
             bm.inject_state_corruption(mix_words(&[
                 cfg.seed,
                 0x4452_4946, // "DRIF"
-                stats.mcmc_sweeps as u64,
+                at as u64,
             ]));
-            // The replicas no longer match the (corrupted) global model.
-            ws.replicas.clear();
+            step.model_rewritten(bm, stats);
         }
-        if cfg.audit_cadence > 0 && stats.mcmc_sweeps.is_multiple_of(cfg.audit_cadence) {
-            stats.audits_run += 1;
-            if let Some(report) = audit_blockmodel(bm, graph) {
-                if cfg.strict_audit {
-                    return Err(HsbpError::StateDrift {
-                        sweep: stats.mcmc_sweeps,
-                        detail: report.summary(),
-                    });
-                }
-                repair_blockmodel(bm, graph);
-                // Repair rewrote the global model: reseed EA replicas.
-                ws.replicas.clear();
-                stats.drift_events.push(DriftEvent {
-                    total_sweep: stats.mcmc_sweeps,
-                    phase_index,
-                    mismatches: report.mismatches,
-                    mdl_delta: report.mdl_delta,
-                    repaired: true,
-                });
-            }
+        if cfg.audit_cadence > 0
+            && before / cfg.audit_cadence != stats.mcmc_sweeps / cfg.audit_cadence
+            && audit_and_repair(graph, bm, cfg, phase_index, stats)?
+        {
+            step.model_rewritten(bm, stats);
         }
 
         let current = mdl::mdl(bm, n, graph.total_weight());
@@ -307,6 +352,38 @@ pub fn run_mcmc_phase_controlled(
         converged,
         truncated,
     })
+}
+
+/// One drift audit: rebuild `bm` from its membership vector and compare
+/// every component. Drift is returned as `HsbpError::StateDrift` under
+/// `cfg.strict_audit`; otherwise `bm` is repaired in place, the event is
+/// recorded in `stats.drift_events`, and `Ok(true)` reports the rewrite.
+pub(crate) fn audit_and_repair(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    cfg: &SbpConfig,
+    phase_index: u64,
+    stats: &mut RunStats,
+) -> Result<bool, HsbpError> {
+    stats.audits_run += 1;
+    let Some(report) = audit_blockmodel(bm, graph) else {
+        return Ok(false);
+    };
+    if cfg.strict_audit {
+        return Err(HsbpError::StateDrift {
+            sweep: stats.mcmc_sweeps,
+            detail: report.summary(),
+        });
+    }
+    repair_blockmodel(bm, graph);
+    stats.drift_events.push(DriftEvent {
+        total_sweep: stats.mcmc_sweeps,
+        phase_index,
+        mismatches: report.mismatches,
+        mdl_delta: report.mdl_delta,
+        repaired: true,
+    });
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -555,90 +632,43 @@ mod tests {
     }
 
     #[test]
-    fn stale_asbp_runs_and_stays_consistent() {
-        let (g, _) = planted(20, 3, 91);
-        let wrong: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 3).collect();
-        for staleness in [2usize, 4] {
-            let mut bm = Blockmodel::from_assignment(&g, wrong.clone(), 3);
-            let before = mdl::mdl(&bm, g.num_vertices(), g.total_weight()).total;
-            let cfg = SbpConfig {
-                variant: Variant::AsyncGibbs,
-                asbp_staleness: staleness,
-                seed: 6,
-                max_sweeps: 8,
-                ..Default::default()
-            };
-            let mut stats = RunStats::new(&cfg);
-            let out = run_mcmc_phase(&g, &mut bm, &cfg, 0, &mut stats);
-            bm.check_consistency(&g).unwrap();
-            // Stale evaluation can thrash (the very pathology the ablation
-            // studies), so only require that the chain stays sane.
-            assert!(
-                out.mdl.total.is_finite() && out.mdl.total < before.abs() * 2.0 + 100.0,
-                "staleness {staleness}: MDL exploded from {before} to {}",
-                out.mdl.total
-            );
-        }
-    }
-
-    #[test]
-    fn staleness_changes_trajectory() {
-        // Staleness > 1 must actually change behaviour relative to fresh
-        // A-SBP (same seed, same graph).
-        let (g, _) = planted(20, 3, 95);
-        let wrong: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 3).collect();
-        let run = |staleness: usize| {
-            let mut bm = Blockmodel::from_assignment(&g, wrong.clone(), 3);
-            let cfg = SbpConfig {
-                variant: Variant::AsyncGibbs,
-                asbp_staleness: staleness,
-                seed: 8,
-                max_sweeps: 6,
-                mcmc_threshold: 0.0,
-                ..Default::default()
-            };
-            let mut stats = RunStats::new(&cfg);
-            run_mcmc_phase(&g, &mut bm, &cfg, 0, &mut stats);
-            bm.assignment().to_vec()
-        };
-        assert_ne!(run(1), run(4));
-    }
-
-    #[test]
-    fn consolidation_modes_are_bit_identical() {
-        // Incremental replay, rebuild and the auto crossover must produce
-        // the same trajectory — the canonical sparse rows make the two
-        // paths byte-identical, and Verify double-checks that per sweep.
-        use crate::config::Consolidation;
+    fn consolidation_survives_per_sweep_strict_audit() {
+        // Incremental replay and rebuild land on the same bytes: a strict
+        // audit after every sweep (rebuild from membership, compare every
+        // component) never fires, and auditing leaves the chain untouched.
         let (g, _) = planted(25, 3, 121);
         let wrong: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 3).collect();
+        let (mut incremental, mut rebuild) = (0, 0);
         for variant in [Variant::AsyncGibbs, Variant::Hybrid, Variant::ExactAsync] {
-            let run = |mode: Consolidation| {
+            let run = |audit_cadence: usize| {
                 let mut bm = Blockmodel::from_assignment(&g, wrong.clone(), 3);
                 let cfg = SbpConfig {
                     variant,
                     seed: 13,
                     max_sweeps: 6,
                     mcmc_threshold: 0.0,
-                    consolidation: mode,
+                    audit_cadence,
+                    strict_audit: true,
                     ..Default::default()
                 };
                 let mut stats = RunStats::new(&cfg);
-                run_mcmc_phase(&g, &mut bm, &cfg, 0, &mut stats);
+                let ctrl = RunControl::unlimited();
+                run_mcmc_phase_controlled(&g, &mut bm, &cfg, 0, &mut stats, &ctrl).unwrap();
                 (bm, stats)
             };
-            let (inc, inc_stats) = run(Consolidation::ForceIncremental);
-            let (reb, reb_stats) = run(Consolidation::ForceRebuild);
-            let (auto, _) = run(Consolidation::Auto);
-            let (verify, _) = run(Consolidation::Verify);
-            assert_eq!(inc, reb, "{variant:?}: incremental != rebuild");
-            assert_eq!(inc, auto, "{variant:?}: auto diverged");
-            assert_eq!(inc, verify, "{variant:?}: verify diverged");
-            assert!(inc_stats.consolidations_incremental > 0, "{variant:?}");
-            assert_eq!(inc_stats.consolidations_rebuild, 0, "{variant:?}");
-            assert!(reb_stats.consolidations_rebuild > 0, "{variant:?}");
-            assert_eq!(reb_stats.consolidated_moves, 0, "{variant:?}");
+            let (audited, audited_stats) = run(1);
+            let (plain, plain_stats) = run(SbpConfig::default().audit_cadence);
+            assert_eq!(audited, plain, "{variant:?}: auditing changed the chain");
+            assert_eq!(audited_stats.audits_run, 6, "{variant:?}");
+            assert_eq!(
+                audited_stats.consolidations_incremental, plain_stats.consolidations_incremental,
+                "{variant:?}"
+            );
+            incremental += audited_stats.consolidations_incremental;
+            rebuild += audited_stats.consolidations_rebuild;
         }
+        assert!(incremental > 0, "the incremental path never ran");
+        assert!(rebuild > 0, "the rebuild path never ran");
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //! arXiv 2305.18663, and SamBaS's partial-refinement argument,
 //! arXiv 2108.06651).
 
-use crate::budget::{CancelToken, RunBudget, RunControl, StopCause};
+use crate::budget::{CancelToken, RunBudget, RunControl};
 use crate::config::SbpConfig;
 use crate::error::HsbpError;
-use crate::mcmc::serial_mh;
-use crate::stats::{DriftEvent, RunStats};
-use hsbp_blockmodel::{audit_blockmodel, mdl, repair_blockmodel, Block, Blockmodel, ProposalArena};
+use crate::mcmc::{audit_and_repair, run_phase_loop, serial_mh};
+use crate::stats::RunStats;
+use hsbp_blockmodel::{mdl, Block, Blockmodel, ProposalArena};
 use hsbp_collections::sample::mix_words;
 use hsbp_graph::{Graph, Vertex, Weight};
 
@@ -217,68 +217,34 @@ pub fn refine_partition(
 
     let mut bm = Blockmodel::from_assignment(graph, assignment, num_blocks);
     let salt = mix_words(&[cfg.seed, 0x5246_494e, warm_num_blocks as u64]); // "RFIN"
-    let mut previous = mdl::mdl(&bm, n, graph.total_weight());
-    let mut recent_deltas: Vec<f64> = Vec::with_capacity(3);
-    let mut arena = ProposalArena::default();
-    let mut sweeps = 0;
-    let mut converged = region.is_empty();
-    let mut truncated = false;
-
-    while !region.is_empty() && sweeps < cfg.max_sweeps {
-        if let Some(cause) = ctrl.sweep_stop_cause(stats.mcmc_sweeps) {
-            stats.stop_cause = cause;
-            truncated = true;
-            break;
-        }
-        let mut accepted = 0;
-        let pass = serial_mh(
-            graph,
-            &mut bm,
-            region.iter().copied(),
-            cfg.beta,
-            salt,
-            sweeps as u64,
-            &ctrl,
-            &mut arena,
-            |_, moved| accepted += u64::from(moved.is_some()),
-        );
-        stats.proposals += pass.proposals;
-        stats.accepted += accepted;
-        if pass.interrupted {
-            stats.stop_cause = ctrl.interrupt_cause().unwrap_or(StopCause::Cancelled);
-            truncated = true;
-            break;
-        }
-        sweeps += 1;
-        stats.mcmc_sweeps += 1;
-
-        if cfg.inject_drift_at_sweep == Some(stats.mcmc_sweeps) {
-            bm.inject_state_corruption(mix_words(&[cfg.seed, 0x4452_4946, sweeps as u64]));
-        }
-        if cfg.audit_cadence > 0 && stats.mcmc_sweeps.is_multiple_of(cfg.audit_cadence) {
-            audit_round(&mut bm, graph, cfg, &mut stats)?;
-        }
-
-        let current = mdl::mdl(&bm, n, graph.total_weight());
-        let delta = previous.total - current.total;
-        previous = current;
-        if recent_deltas.len() == 3 {
-            recent_deltas.remove(0);
-        }
-        recent_deltas.push(delta.abs());
-        if recent_deltas.len() == 3 {
-            let mean: f64 = recent_deltas.iter().sum::<f64>() / 3.0;
-            if mean < cfg.mcmc_threshold * previous.total.abs().max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-    }
+    let (sweeps, converged, truncated) = if region.is_empty() {
+        (0, true, false)
+    } else {
+        let mut arena = ProposalArena::default();
+        let mut step = |bm: &mut Blockmodel, sweeps: usize, stats: &mut RunStats| {
+            let mut accepted = 0;
+            let pass = serial_mh(
+                graph,
+                bm,
+                region.iter().copied(),
+                cfg.beta,
+                salt,
+                sweeps as u64,
+                &ctrl,
+                &mut arena,
+                |_, moved| accepted += u64::from(moved.is_some()),
+            );
+            stats.proposals += pass.proposals;
+            stats.accepted += accepted;
+            Ok((!pass.interrupted).then_some(1))
+        };
+        let out = run_phase_loop(graph, &mut bm, cfg, 0, &mut stats, &ctrl, &mut step)?;
+        (out.sweeps, out.converged, out.truncated)
+    };
 
     // Terminal audit: whatever is about to be published must match its own
     // membership vector exactly, even after a truncated resweep.
-    stats.audits_run += 1;
-    audit_round(&mut bm, graph, cfg, &mut stats)?;
+    audit_and_repair(graph, &mut bm, cfg, 0, &mut stats)?;
 
     assignment = bm.assignment().to_vec();
     num_blocks = compact_labels(&mut assignment, bm.num_blocks());
@@ -296,37 +262,11 @@ pub fn refine_partition(
     })
 }
 
-/// One audit pass in refine context: repair-and-record, or fail in strict
-/// mode.
-fn audit_round(
-    bm: &mut Blockmodel,
-    graph: &Graph,
-    cfg: &SbpConfig,
-    stats: &mut RunStats,
-) -> Result<(), HsbpError> {
-    if let Some(report) = audit_blockmodel(bm, graph) {
-        if cfg.strict_audit {
-            return Err(HsbpError::StateDrift {
-                sweep: stats.mcmc_sweeps,
-                detail: report.summary(),
-            });
-        }
-        repair_blockmodel(bm, graph);
-        stats.drift_events.push(DriftEvent {
-            total_sweep: stats.mcmc_sweeps,
-            phase_index: 0,
-            mismatches: report.mismatches,
-            mdl_delta: report.mdl_delta,
-            repaired: true,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::budget::StopCause;
     use hsbp_graph::GraphBuilder;
 
     fn planted(n_per: u32, groups: u32, seed: u64) -> (Graph, Vec<Block>) {
@@ -573,6 +513,8 @@ mod tests {
         )
         .unwrap();
         assert!(!out.stats.drift_events.is_empty());
+        // Every cadenced audit counts, plus the terminal one.
+        assert_eq!(out.stats.audits_run, out.sweeps / lenient.audit_cadence + 1);
         Blockmodel::from_assignment(&g, out.assignment, out.num_blocks)
             .check_consistency(&g)
             .unwrap();

@@ -49,6 +49,6 @@ pub use faults::ServeFaultPlan;
 pub use mutlog::{AppendError, MutationLog};
 pub use protocol::{ErrorKind, Request, BENCH_SERVE_SCHEMA_VERSION, PROTOCOL_VERSION};
 pub use recover::{PersistedSnapshot, Recovery, StateDir};
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle, MAX_LINE_BYTES};
 pub use state::{BlockStats, EvolvingGraph, Mutation, Snapshot, StateHandle};
 pub use wal::FsyncPolicy;

@@ -38,7 +38,7 @@ use crate::wal::{FsyncPolicy, Wal};
 use hsbp_core::{refine_partition, CancelToken, HsbpError, RunBudget, SbpConfig, StopCause};
 use hsbp_graph::{Graph, Vertex};
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -556,6 +556,12 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServeCtx>) {
     }
 }
 
+/// Longest request line a connection may send (1 MiB, newline excluded).
+/// The largest line any in-repo client sends is the 100 000-byte nested
+/// array of the serve parse-error test; a 150-edge mutation batch is about
+/// 3 KB. A longer line gets one `parse` error and the connection closes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// One connection: read request lines, write response lines.
 fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> Result<(), HsbpError> {
     let peer = stream
@@ -579,6 +585,8 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> Result<(), HsbpError> 
     let mut last_activity = Instant::now();
     let mut stream = stream;
     let mut acc: Vec<u8> = Vec::new();
+    // Leading bytes of `acc` already known to hold no newline.
+    let mut scanned = 0;
     let mut buf = [0u8; 4096];
     loop {
         if ctx.shutdown.load(Ordering::Relaxed) {
@@ -597,7 +605,12 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> Result<(), HsbpError> 
         };
         last_activity = Instant::now();
         acc.extend_from_slice(&buf[..n]);
-        while let Some(eol) = acc.iter().position(|&b| b == b'\n') {
+        while let Some(offset) = acc[scanned..].iter().position(|&b| b == b'\n') {
+            let eol = scanned + offset;
+            scanned = 0;
+            if eol > MAX_LINE_BYTES {
+                return reject_long_line(&mut stream, &net_err);
+            }
             let line: Vec<u8> = acc.drain(..=eol).collect();
             let text = String::from_utf8_lossy(&line[..line.len() - 1]);
             let text = text.trim();
@@ -606,11 +619,7 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> Result<(), HsbpError> 
             }
             let (response, quit) = handle_line(text, ctx);
             if let Some(response) = response {
-                let mut out = response.to_line();
-                out.push('\n');
-                stream
-                    .write_all(out.as_bytes())
-                    .map_err(|e| net_err(format!("write failed: {e}")))?;
+                write_line(&mut stream, &response, &net_err)?;
             }
             if quit {
                 ctx.shutdown.store(true, Ordering::Relaxed);
@@ -618,7 +627,49 @@ fn serve_connection(stream: TcpStream, ctx: &ServeCtx) -> Result<(), HsbpError> 
                 return Ok(());
             }
         }
+        scanned = acc.len();
+        if scanned > MAX_LINE_BYTES {
+            return reject_long_line(&mut stream, &net_err);
+        }
     }
+}
+
+/// Write one response line.
+fn write_line(
+    stream: &mut TcpStream,
+    response: &Json,
+    net_err: &impl Fn(String) -> HsbpError,
+) -> Result<(), HsbpError> {
+    let mut out = response.to_line();
+    out.push('\n');
+    stream
+        .write_all(out.as_bytes())
+        .map_err(|e| net_err(format!("write failed: {e}")))
+}
+
+/// Answer a request line longer than [`MAX_LINE_BYTES`] with one typed
+/// `parse` error, then close the connection: there is no request boundary
+/// to resume from. The close lingers for up to a second, discarding what
+/// the client still sends, so that unread bytes do not reset the
+/// connection before the client has read the error.
+fn reject_long_line(
+    stream: &mut TcpStream,
+    net_err: &impl Fn(String) -> HsbpError,
+) -> Result<(), HsbpError> {
+    let message = format!("request line exceeds {MAX_LINE_BYTES} bytes; closing connection");
+    write_line(stream, &error_response(ErrorKind::Parse, &message), net_err)?;
+    let _ = stream.shutdown(Shutdown::Write);
+    let linger_until = Instant::now() + Duration::from_secs(1);
+    let mut sink = [0u8; 4096];
+    while Instant::now() < linger_until {
+        match stream.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), IoErrorKind::WouldBlock | IoErrorKind::TimedOut) => {}
+            Err(_) => break,
+        }
+    }
+    Ok(())
 }
 
 /// Accept one mutation batch: WAL first (when durable), then enqueue, then

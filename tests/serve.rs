@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use hsbp::serve::json::{parse, Json};
-use hsbp::serve::{ServeConfig, Server, ServerHandle, PROTOCOL_VERSION};
+use hsbp::serve::{ServeConfig, Server, ServerHandle, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use hsbp::{Graph, GraphBuilder, RunBudget, SbpConfig, Variant};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -293,6 +293,28 @@ fn deeply_nested_line_is_a_parse_error_and_connection_survives() {
     assert_eq!(error_kind(&deep).as_deref(), Some("parse"));
 
     let version = client.ok("{\"op\":\"version\"}");
+    assert_eq!(u(&version, "protocol"), u64::from(PROTOCOL_VERSION));
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// A request line longer than `MAX_LINE_BYTES` gets one typed parse error
+/// and its connection closes; the daemon keeps serving new connections.
+#[test]
+fn over_cap_line_is_a_parse_error_and_closes_the_connection() {
+    let handle = spawn_default(planted(10));
+    let mut client = Client::connect(&handle);
+
+    let long = client.request(&"x".repeat(MAX_LINE_BYTES + 1));
+    assert_eq!(long.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(error_kind(&long).as_deref(), Some("parse"));
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+    drop(client);
+
+    let mut fresh = Client::connect(&handle);
+    let version = fresh.ok("{\"op\":\"version\"}");
     assert_eq!(u(&version, "protocol"), u64::from(PROTOCOL_VERSION));
 
     handle.shutdown();

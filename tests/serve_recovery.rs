@@ -11,7 +11,7 @@ use hsbp::serve::{ServeConfig, ServeFaultPlan, Server, ServerHandle};
 use hsbp::{Graph, RunBudget, SbpConfig, Variant};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 struct Client {
@@ -73,12 +73,12 @@ fn sbp() -> SbpConfig {
     SbpConfig::new(Variant::Metropolis, 42)
 }
 
-fn durable_config(dir: &PathBuf, plan: &str, snapshot_every: u64) -> ServeConfig {
+fn durable_config(dir: &Path, plan: &str, snapshot_every: u64) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".into(),
         sbp: sbp(),
         budget: RunBudget::unlimited(),
-        state_dir: Some(dir.clone()),
+        state_dir: Some(dir.to_path_buf()),
         snapshot_every,
         fault_plan: ServeFaultPlan::parse(plan).unwrap(),
         ..ServeConfig::default()

@@ -2,6 +2,7 @@
 //! single-model driver (the ISSUE's acceptance criterion), plus the
 //! `hsbp shard` CLI subcommand end-to-end.
 
+use hsbp::collections::fnv::Fnv1a;
 use hsbp::generator::{generate, DcsbmConfig};
 use hsbp::graph::partition::write_partition_file;
 use hsbp::metrics::nmi;
@@ -88,6 +89,43 @@ fn detailed_run_reports_are_coherent() {
     assert!(run.scaling.curve.first().map(|&(r, _)| r) == Some(1));
     // Finetune must not lose the stitched state: best MDL ≤ raw union MDL.
     assert!(run.result.mdl.total <= run.stitch.stitched_mdl + 1e-9);
+}
+
+/// FNV-1a over the block count plus every label (the `mathmode_pin`
+/// assignment fingerprint).
+fn fingerprint(assignment: &[u32], num_blocks: usize) -> u64 {
+    let mut h = Fnv1a::new();
+    h.bytes(&(num_blocks as u64).to_le_bytes());
+    for &a in assignment {
+        h.bytes(&u64::from(a).to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Golden pin of a stitched run: MDL bits and assignment fingerprint of
+/// `run_sharded_sbp` (3 shards, seed 2), captured before the stitch search
+/// moved onto the core driver's golden-section search. Any change to the
+/// stitch bracket, its finetune phases or their salts shows here.
+#[test]
+fn stitched_run_matches_golden_bits() {
+    let data = generate(DcsbmConfig {
+        num_vertices: 600,
+        num_communities: 6,
+        target_num_edges: 6000,
+        seed: 13,
+        ..Default::default()
+    });
+    let result = run_sharded_sbp(&data.graph, &ShardConfig::new(3, 2)).expect("valid config");
+    let got = (
+        result.mdl.total.to_bits(),
+        fingerprint(&result.assignment, result.num_blocks),
+        result.num_blocks,
+    );
+    assert_eq!(
+        got,
+        (4677082357084940774, 6564404832013698279, 6),
+        "stitched run drifted: {got:?}"
+    );
 }
 
 /// An external `.part.K` file drives the same pipeline via the public API.

@@ -3,6 +3,7 @@
 //! chain), degradation on shard death, and the divide-and-conquer accuracy
 //! regression the exact algorithm exists to fix.
 
+use hsbp::collections::fnv::Fnv1a;
 use hsbp::generator::{generate, DcsbmConfig};
 use hsbp::metrics::nmi;
 use hsbp::{
@@ -189,6 +190,46 @@ fn sync_every_batches_rounds() {
     let every4 = run_exact_sbp(&graph, &cfg).expect("valid config");
     assert!(every4.result.stats.sync_rounds < every1.result.stats.sync_rounds);
     assert!(nmi(&truth, &every4.result.assignment) > 0.7);
+}
+
+/// FNV-1a over the block count plus every label (the `mathmode_pin`
+/// assignment fingerprint).
+fn fingerprint(assignment: &[u32], num_blocks: usize) -> u64 {
+    let mut h = Fnv1a::new();
+    h.bytes(&(num_blocks as u64).to_le_bytes());
+    for &a in assignment {
+        h.bytes(&u64::from(a).to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Golden pin of multi-sweep sync rounds under the cadenced audit: with
+/// `sync_every = 3` each round spans three sweeps, so the audit (every 2
+/// sweeps) and the injected drift (after sweep 4) fire on rounds that
+/// *cross* their boundary rather than land on it. MDL bits, assignment
+/// fingerprint and the round/audit/drift counters were captured before the
+/// exact phase loop moved onto the core MCMC phase loop.
+#[test]
+fn multi_sweep_rounds_with_audit_and_drift_match_golden_bits() {
+    let (graph, _) = small_graph();
+    let mut cfg = exact_cfg(4, NetFaultPlan::none());
+    cfg.sync_every = 3;
+    cfg.sbp.audit_cadence = 2;
+    cfg.sbp.inject_drift_at_sweep = Some(4);
+    let run = run_exact_sbp(&graph, &cfg).expect("valid config");
+    let stats = &run.result.stats;
+    let got = (
+        run.result.mdl.total.to_bits(),
+        fingerprint(&run.result.assignment, run.result.num_blocks),
+        stats.sync_rounds,
+        stats.audits_run,
+        stats.drift_events.len(),
+    );
+    assert_eq!(
+        got,
+        (4677082358374195782, 4032486433043628448, 109, 109, 1),
+        "exact run drifted: {got:?}"
+    );
 }
 
 /// The divide-and-conquer accuracy caveat, pinned: at cut fraction ~0.9
